@@ -32,6 +32,9 @@ Scheduling semantics are unchanged from the original coordinator:
   function of the sweep, independent of submit order and wall clock;
 * a worker that crashes or stalls simply never completes its lease; the
   lease expires after ``lease_ttl`` seconds and the unit is reassigned;
+* a worker holds at most one lease, and each ``complete`` grants the
+  worker's next one in the same command, so the replicated fabric
+  spends one log entry per unit (``lease`` becomes a leader read);
 * with ``redundancy = r > 1`` every unit must be executed by *distinct*
   workers until ``⌊r/2⌋ + 1`` of them return byte-identical canonical
   JSON payloads — a Byzantine worker returning corrupt rows is outvoted
@@ -184,7 +187,7 @@ class CoordinatorMachine:
             "next_worker": 1,
             "workers": {},  # worker_id -> registry entry
             "units": {},  # unit_id -> unit record
-            "queue": [],  # unit_ids in lease-priority order
+            "queue": [],  # unresolved unit_ids in lease-priority order
             "sweeps": {},  # sweep_id -> sweep record
             "counters": {
                 "leases_granted": 0,
@@ -196,6 +199,10 @@ class CoordinatorMachine:
             },
         }
         self._effects: List[Dict[str, Any]] = []
+        # Derived index over ``s``: ids of the units that hold at least
+        # one lease, so expiry never walks the whole queue.  Not hashed;
+        # rebuilt by :meth:`restore`.
+        self._leased: Dict[str, None] = {}
 
     # -- identity and snapshots ----------------------------------------
 
@@ -212,6 +219,11 @@ class CoordinatorMachine:
         """Replace the state wholesale (installing a snapshot)."""
         self.s = copy.deepcopy(state)
         self._effects = []
+        self._leased = {
+            uid: None
+            for uid, unit in self.s["units"].items()
+            if unit["leases"]
+        }
 
     def take_effects(self) -> List[Dict[str, Any]]:
         """Drain the pending store-write effects (accepted unit records)."""
@@ -284,7 +296,7 @@ class CoordinatorMachine:
         return {"worker_id": worker_id, "name": name}
 
     def _lease(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Grant the next eligible unit to the requesting worker (or none).
+        """Grant the worker its next unit: the one it holds, else a new one.
 
         Expired leases are reaped first, so a crashed worker's units are
         reassignable by the very next lease request.  The reply always
@@ -298,35 +310,53 @@ class CoordinatorMachine:
                 "register first"
             }
         self._expire_leases()
-        units = self.s["units"]
-        open_units = sum(
-            1 for uid in self.s["queue"] if units[uid]["status"] == "open"
-        )
         if worker["quarantined"]:
-            return {"unit": None, "open": open_units, "quarantined": True}
-        lease_ttl = self.s["config"]["lease_ttl"]
+            return self._lease_reply(None, quarantined=True)
+        return self._lease_reply(self._grant(worker))
+
+    def _grant(self, worker: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """Lease a unit to a live, unquarantined worker (leases reaped).
+
+        A worker holds at most one lease: its own unexpired lease is
+        returned before any new unit is granted.  The queue holds only
+        unresolved units and leased units cluster at its head, so the
+        scan for a leasable unit stops after a few entries.
+        """
+        unit = self._held_unit(worker["worker_id"])
+        if unit is not None:
+            return unit
+        units = self.s["units"]
         for uid in self.s["queue"]:
             unit = units[uid]
             if self._leasable_by(unit, worker):
                 unit["leases"][worker["worker_id"]] = (
-                    self.s["clock"] + lease_ttl
+                    self.s["clock"] + self.s["config"]["lease_ttl"]
                 )
+                self._leased[uid] = None
                 self.s["counters"]["leases_granted"] += 1
-                return {
-                    "unit": self._lease_payload(unit),
-                    "open": open_units,
-                    "quarantined": False,
-                }
-        return {"unit": None, "open": open_units, "quarantined": False}
+                return unit
+        return None
+
+    def _lease_reply(
+        self, unit: Optional[Dict[str, Any]], quarantined: bool = False
+    ) -> Dict[str, Any]:
+        """A lease reply: the unit's payload (or None) plus queue status."""
+        return {
+            "unit": None if unit is None else self._lease_payload(unit),
+            "open": len(self.s["queue"]),
+            "quarantined": quarantined,
+        }
 
     def _complete(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Record one worker's result rows for a unit as a quorum vote.
+        """Record one worker's result rows as a vote; lease its next unit.
 
-        Every structurally-parseable completion counts as a vote for
-        the digest of its payload bytes; acceptance happens when
-        ``threshold`` distinct workers agree.  Votes that lose the
-        quorum — and late completions that contradict an already
-        accepted digest — earn the worker a strike.
+        Every completion that does not error, from a worker that is not
+        quarantined afterwards, also grants that worker's next lease in
+        the same command — so a busy worker's ``lease`` call finds the
+        unit already held and the replicated fabric answers it without
+        a log entry (:meth:`peek_lease`).  The reply is the vote's
+        outcome only; the lease is fetched by the worker's next
+        ``lease`` call.
         """
         worker = self.s["workers"].get(command.get("worker_id"))
         if worker is None:
@@ -337,60 +367,64 @@ class CoordinatorMachine:
         unit = self.s["units"].get(command.get("unit_id"))
         if unit is None:
             return {"error": f"unknown work unit {command.get('unit_id')!r}"}
-        rows = command.get("rows") or []
+        status = self._vote(worker, unit, command.get("rows") or [])
+        self._expire_leases()
+        if not worker["quarantined"]:
+            self._grant(worker)
+        return {
+            "status": status,
+            "accepted": status == "accepted" or (
+                status == "stale" and unit["status"] == "done"
+            ),
+            "quarantined": worker["quarantined"],
+        }
+
+    def _vote(
+        self, worker: Dict[str, Any], unit: Dict[str, Any], rows: List[Any]
+    ) -> str:
+        """Count one completion as a quorum vote; returns its status.
+
+        Every structurally-parseable completion counts as a vote for
+        the digest of its payload bytes; acceptance happens when
+        ``threshold`` distinct workers agree.  Votes that lose the
+        quorum — and late completions that contradict an already
+        accepted digest — earn the worker a strike.
+        """
         worker_id = worker["worker_id"]
-        unit["leases"].pop(worker_id, None)
+        self._release(unit, worker_id)
         digest = unit_digest(rows)
         if unit["status"] != "open":
             # Late completion: free verification against the accepted
             # payload — agreement is fine, contradiction is a strike.
             if unit["status"] == "done" and digest != unit["winning_digest"]:
                 self._strike(worker, "stale-vote")
-            return {
-                "status": "stale",
-                "accepted": unit["status"] == "done",
-                "quarantined": worker["quarantined"],
-            }
+            return "stale"
         if worker["quarantined"]:
             # A quarantined worker may still finish an in-flight lease;
             # its result must never count toward a quorum.
-            return {
-                "status": "quarantined",
-                "accepted": False,
-                "quarantined": True,
-            }
+            return "quarantined"
         if worker_id in unit["votes"]:
-            return {
-                "status": "duplicate",
-                "accepted": False,
-                "quarantined": worker["quarantined"],
-            }
+            return "duplicate"
         unit["votes"][worker_id] = digest
         unit["rows_by_digest"].setdefault(digest, list(rows))
         worker["votes_cast"] += 1
         worker["completed"] += 1
         self.s["counters"]["votes_received"] += 1
-        status = "pending"
         best_digest, best_votes = self._tally(unit)
         if best_votes >= unit["threshold"]:
             self._accept(unit, best_digest)
-            status = "accepted" if digest == best_digest else "outvoted"
             if unit["status"] == "failed":
-                status = "failed"  # quorum payload was structurally invalid
-        elif len(unit["votes"]) >= unit["max_votes"]:
+                return "failed"  # quorum payload was structurally invalid
+            return "accepted" if digest == best_digest else "outvoted"
+        if len(unit["votes"]) >= unit["max_votes"]:
             self._fail(
                 unit,
                 f"unit {unit['unit_id']}: no {unit['threshold']}-quorum "
                 f"among {len(unit['votes'])} votes (too many faulty "
                 "workers?)",
             )
-            status = "failed"
-        self._expire_leases()
-        return {
-            "status": status,
-            "accepted": status == "accepted",
-            "quarantined": worker["quarantined"],
-        }
+            return "failed"
+        return "pending"
 
     # -- sweep-facing ops ----------------------------------------------
 
@@ -457,10 +491,13 @@ class CoordinatorMachine:
         if sweep["waiters"] > 0:
             return {"purged": False}
         del self.s["sweeps"][sweep["sweep_id"]]
-        drop = set(sweep["unit_ids"])
         for uid in sweep["unit_ids"]:
             self.s["units"].pop(uid, None)
-        self.s["queue"] = [u for u in self.s["queue"] if u not in drop]
+            self._leased.pop(uid, None)
+        if sweep["open_units"]:
+            # Only an abandoned sweep still has units in the queue.
+            drop = set(sweep["unit_ids"])
+            self.s["queue"] = [u for u in self.s["queue"] if u not in drop]
         return {"purged": True}
 
     # -- introspection (read-only, no commands needed) ------------------
@@ -484,6 +521,55 @@ class CoordinatorMachine:
             "pending_units": pending,
             "n_cases": sweep["n_cases"],
         }
+
+    def sweep_progress(
+        self, sweep_id: str
+    ) -> Optional[Tuple[int, Optional[str]]]:
+        """``(open_units, error)`` of one sweep, or None once it is gone.
+
+        A constant-time probe: a waiter rebuilds the full
+        :meth:`sweep_view` only when this pair changes.
+        """
+        sweep = self.s["sweeps"].get(sweep_id)
+        if sweep is None:
+            return None
+        return sweep["open_units"], sweep["error"]
+
+    def peek_lease(
+        self, worker_id: str, now: float, settled: bool
+    ) -> Optional[Dict[str, Any]]:
+        """The reply to a ``lease`` command that would change nothing.
+
+        Two cases qualify, both judged at ``max(clock, now)``:
+
+        * the worker holds an unexpired lease — the reply returns it;
+        * ``settled`` (the caller has applied everything it appended),
+          no lease has expired, and nothing is leasable to the worker —
+          the reply is empty.
+
+        Anything else (an unknown or quarantined worker, an expired
+        lease to reap, a unit to grant) returns None: that lease must
+        be applied as a command.
+        """
+        worker = self.s["workers"].get(worker_id)
+        if worker is None or worker["quarantined"]:
+            return None
+        now = max(self.s["clock"], float(now))
+        unit = self._held_unit(worker_id)
+        if unit is not None:
+            if unit["leases"][worker_id] <= now:
+                return None
+        elif not settled:
+            return None
+        else:
+            units = self.s["units"]
+            for uid in self._leased:
+                if any(t <= now for t in units[uid]["leases"].values()):
+                    return None
+            for uid in self.s["queue"]:
+                if self._leasable_by(units[uid], worker):
+                    return None
+        return self._lease_reply(unit)
 
     def busy(self) -> bool:
         """Whether any sweep is unresolved (drives replicated ticks)."""
@@ -512,16 +598,13 @@ class CoordinatorMachine:
 
     def stats(self) -> Dict[str, Any]:
         """Scheduler counters for the health endpoint and tests."""
-        units = self.s["units"]
         config = self.s["config"]
         out = {
             "workers": len(self.s["workers"]),
             "quarantined": sum(
                 1 for w in self.s["workers"].values() if w["quarantined"]
             ),
-            "open_units": sum(
-                1 for uid in self.s["queue"] if units[uid]["status"] == "open"
-            ),
+            "open_units": len(self.s["queue"]),
             "redundancy": config["redundancy"],
             "unit_size": config["unit_size"],
             "lease_ttl": config["lease_ttl"],
@@ -626,17 +709,39 @@ class CoordinatorMachine:
             )
         return units
 
+    def _held_unit(self, worker_id: str) -> Optional[Dict[str, Any]]:
+        """The unit ``worker_id`` holds a lease on (a worker holds one)."""
+        units = self.s["units"]
+        for uid in self._leased:
+            if worker_id in units[uid]["leases"]:
+                return units[uid]
+        return None
+
+    def _release(self, unit: Dict[str, Any], worker_id: str) -> None:
+        """Drop one worker's lease on a unit, keeping the index in step."""
+        unit["leases"].pop(worker_id, None)
+        if not unit["leases"]:
+            self._leased.pop(unit["unit_id"], None)
+
+    def _resolve(self, unit: Dict[str, Any], status: str) -> None:
+        """Take a unit out of play: drop its leases, dequeue it."""
+        unit["status"] = status
+        unit["leases"] = {}
+        self._leased.pop(unit["unit_id"], None)
+        self.s["queue"].remove(unit["unit_id"])
+
     def _expire_leases(self) -> None:
-        """Reap leases past their deadline so units become reassignable."""
+        """Reap leases past their deadline so units become reassignable.
+
+        Visits only the units in the lease index, never the queue.
+        """
         now = self.s["clock"]
         units = self.s["units"]
-        for uid in self.s["queue"]:
+        for uid in list(self._leased):
             unit = units[uid]
-            if unit["status"] != "open":
-                continue
             expired = [w for w, t in unit["leases"].items() if t <= now]
             for worker_id in expired:
-                del unit["leases"][worker_id]
+                self._release(unit, worker_id)
                 self.s["counters"]["leases_expired"] += 1
                 self._effects.append(
                     {
@@ -675,8 +780,8 @@ class CoordinatorMachine:
             worker["quarantined"] = True
             worker["quarantine_reason"] = reason
             units = self.s["units"]
-            for uid in self.s["queue"]:
-                units[uid]["leases"].pop(worker["worker_id"], None)
+            for uid in list(self._leased):
+                self._release(units[uid], worker["worker_id"])
             self._effects.append(
                 {
                     "kind": "event",
@@ -719,11 +824,10 @@ class CoordinatorMachine:
                 f"unit {unit['unit_id']}: accepted payload is invalid: {exc}",
             )
             return
-        unit["status"] = "done"
+        self._resolve(unit, "done")
         unit["winning_digest"] = digest
         unit["winning_votes"] = votes
         unit["accepted_rows"] = normalized
-        unit["leases"] = {}
         for worker_id, vote in unit["votes"].items():
             if vote != digest:
                 self._strike(self.s["workers"][worker_id], "lost-quorum")
@@ -748,8 +852,7 @@ class CoordinatorMachine:
 
     def _fail(self, unit: Dict[str, Any], message: str) -> None:
         """Mark a unit unresolvable and poison its sweep."""
-        unit["status"] = "failed"
-        unit["leases"] = {}
+        self._resolve(unit, "failed")
         self.s["counters"]["units_failed"] += 1
         sweep = self.s["sweeps"].get(unit["sweep_id"])
         if sweep is not None and sweep["error"] is None:

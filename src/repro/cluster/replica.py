@@ -828,10 +828,13 @@ class Replica:
         try:
             while not self._stop.is_set():
                 event.wait(timeout=self.heartbeat_interval)
-                event.clear()
                 if self._stop.is_set():
                     return
                 with self._cond:
+                    # Cleared under the lock every append holds: the
+                    # message built below carries each entry whose
+                    # wake-up this drops.
+                    event.clear()
                     messages = list(self._outbox[peer])
                     self._outbox[peer].clear()
                     if self._core.role == "leader":
@@ -859,6 +862,10 @@ class Replica:
                             else:
                                 self._outbox[msg["to"]].append(msg)
                                 self._events[msg["to"]].set()
+                        if follow_up and not self._outbox[peer]:
+                            # The follow-up carries every entry appended
+                            # so far; an empty append after it is waste.
+                            event.clear()
                         messages.extend(follow_up)
                     self._flush(effects)
         finally:
@@ -881,7 +888,11 @@ class Replica:
             election_term = None
             with self._cond:
                 if self._core.role == "leader":
-                    if now >= self._next_tick and self._machine.busy():
+                    if not self._machine.busy():
+                        # The first tick comes a full interval after a
+                        # sweep opens: a short sweep needs none.
+                        self._next_tick = now + self.tick_interval
+                    elif now >= self._next_tick:
                         self._next_tick = now + self.tick_interval
                         self._core.client_append(
                             {"op": "tick", "now": time.time()}
@@ -983,7 +994,33 @@ class Replica:
         )
 
     def lease(self, worker_id: str) -> Dict[str, Any]:
-        """Grant the next eligible unit through the log."""
+        """The worker's next unit: a leader read when nothing would change.
+
+        A lease that would change nothing is answered from the leader's
+        applied state with no log write
+        (:meth:`~repro.cluster.coordinator.CoordinatorMachine.peek_lease`):
+        the unit the worker already holds — granted by its last
+        ``complete`` and so already committed — or "nothing leasable".
+        The empty answer is given only when every appended entry is
+        applied: a ``submit`` still in flight must not read as an empty
+        queue.  Anything else (a unit to grant, an expired lease to
+        reap) goes through the log.
+
+        A deposed leader that has not yet heard of its successor may
+        answer from stale state, which is harmless: "nothing" only
+        costs the worker another poll, and a stale held unit is
+        executed and its completion verified like any straggler's vote.
+        """
+        with self._cond:
+            if self._core.role != "leader":
+                raise NotLeaderError(self.leader_url())
+            reply = self._machine.peek_lease(
+                worker_id,
+                time.time(),
+                settled=self._applied == self._log.last_index,
+            )
+        if reply is not None:
+            return reply
         return self.submit_command(
             {"op": "lease", "worker_id": worker_id, "now": time.time()}
         )
@@ -991,7 +1028,11 @@ class Replica:
     def complete(
         self, worker_id: str, unit_id: str, rows: Sequence[Any]
     ) -> Dict[str, Any]:
-        """Record a completion vote through the log."""
+        """Record a completion vote through the log.
+
+        The same entry grants the worker's next lease, which its next
+        :meth:`lease` call then reads without a log write.
+        """
         return self.submit_command(
             {
                 "op": "complete",
@@ -1068,7 +1109,14 @@ class Replica:
                         wait = 0.1
                         if deadline is not None:
                             wait = min(wait, max(deadline - now, 0.0))
-                        self._cond.wait(timeout=wait)
+                        # Every applied entry wakes this thread; rebuild
+                        # the view only once the sweep's progress moved.
+                        progress_now = (view["open_units"], None)
+                        self._cond.wait_for(
+                            lambda: self._machine.sweep_progress(sweep_id)
+                            != progress_now,
+                            timeout=wait,
+                        )
                         continue
                     if finished:
                         rows = list(view["slots"])

@@ -53,6 +53,10 @@ __all__ = ["Worker", "corrupt_rows", "run_worker_thread"]
 # its outgoing rows through a dist-layer adversary.
 _NODE_ID = 0
 
+# Finished ``worker.run_unit`` spans buffered between pushes; the buffer
+# is pushed before it could wrap, so no span is ever dropped.
+_SPAN_CAPACITY = 256
+
 
 def corrupt_rows(
     adversary: Adversary, tick: int, rows: Sequence[Any]
@@ -115,7 +119,7 @@ class Worker:
         self.quarantined = False
         self.transport_errors = 0
         self.last_error: Optional[str] = None
-        self._recorder = SpanRecorder(capacity=256)
+        self._recorder = SpanRecorder(capacity=_SPAN_CAPACITY)
         registry = default_registry() if registry is None else registry
         self._m_unit_seconds = registry.histogram(
             "repro_worker_unit_seconds",
@@ -210,17 +214,27 @@ class Worker:
                 return True
             self.quarantined = bool(reply.get("quarantined", False))
             self.completed += 1
-        # Ship the span upstream when the transport can carry it (the
-        # HTTP client can); otherwise hand it to the process-default
-        # recorder so in-process fleets still see it.
-        if unit.get("trace_id"):
-            spans = self._recorder.drain()
-            push = getattr(self.transport, "push_spans", None)
-            if push is not None:
-                push(spans)
-            else:
-                default_recorder().ingest(spans)
+        if len(self._recorder) >= _SPAN_CAPACITY:
+            self._ship_spans()
         return True
+
+    def _ship_spans(self) -> None:
+        """Ship buffered spans upstream in one batch.
+
+        The HTTP transport carries them to ``POST /v1/trace``; any other
+        transport hands them to the process-default recorder so
+        in-process fleets still see them.  :meth:`run` pushes whenever
+        a lease comes back empty and when it exits; :meth:`run_unit`
+        pushes when the buffer is full.
+        """
+        spans = self._recorder.drain()
+        if not spans:
+            return
+        push = getattr(self.transport, "push_spans", None)
+        if push is not None:
+            push(spans)
+        else:
+            default_recorder().ingest(spans)
 
     def run(
         self,
@@ -271,52 +285,57 @@ class Worker:
             just_reregistered = True
             return True
 
-        while not (stop is not None and stop.is_set()):
-            if max_units is not None and self.completed >= max_units:
-                break
-            try:
-                reply = self.transport.lease(self.worker_id)
-            except ServiceError as exc:
-                self.transport_errors += 1
-                if exc.status != 0:
-                    # A real server answer.  "unknown worker" means the
-                    # control plane lost our registration (restart or
-                    # failover): re-adopt the same identity once before
-                    # declaring the fabric down.  Anything else (no
-                    # coordinator attached) is permanent: stop loudly
-                    # instead of spinning.
+        try:
+            while not (stop is not None and stop.is_set()):
+                if max_units is not None and self.completed >= max_units:
+                    break
+                try:
+                    reply = self.transport.lease(self.worker_id)
+                except ServiceError as exc:
+                    self.transport_errors += 1
+                    if exc.status != 0:
+                        # A real server answer.  "unknown worker" means
+                        # the control plane lost our registration
+                        # (restart or failover): re-adopt the same
+                        # identity once before declaring the fabric
+                        # down.  Anything else (no coordinator attached)
+                        # is permanent: stop loudly instead of spinning.
+                        if "unknown worker" in str(exc) and try_reregister():
+                            continue
+                        self.last_error = self.last_error or str(exc)
+                        break
+                    # Status 0 is a transport blip (connection refused/
+                    # reset): keep polling until the idle timeout
+                    # drains us.
+                    if idled_out():
+                        self.last_error = str(exc)
+                        break
+                    time.sleep(self.poll)
+                    continue
+                except KeyError as exc:
+                    # In-process transport's unknown-worker error: same
+                    # one-shot re-registration as over HTTP.
+                    self.transport_errors += 1
                     if "unknown worker" in str(exc) and try_reregister():
                         continue
                     self.last_error = self.last_error or str(exc)
                     break
-                # Status 0 is a transport blip (connection refused/
-                # reset): keep polling until the idle timeout drains us.
-                if idled_out():
-                    self.last_error = str(exc)
+                just_reregistered = False
+                if reply.get("quarantined"):
+                    self.quarantined = True
                     break
-                time.sleep(self.poll)
-                continue
-            except KeyError as exc:
-                # In-process transport's unknown-worker error: same
-                # one-shot re-registration as over HTTP.
-                self.transport_errors += 1
-                if "unknown worker" in str(exc) and try_reregister():
+                unit = reply.get("unit")
+                if unit is None:
+                    self._ship_spans()  # idle: a good moment to ship
+                    if idled_out():
+                        break
+                    time.sleep(self.poll)
                     continue
-                self.last_error = self.last_error or str(exc)
-                break
-            just_reregistered = False
-            if reply.get("quarantined"):
-                self.quarantined = True
-                break
-            unit = reply.get("unit")
-            if unit is None:
-                if idled_out():
+                idle_since = None
+                if not self.run_unit(unit):
                     break
-                time.sleep(self.poll)
-                continue
-            idle_since = None
-            if not self.run_unit(unit):
-                break
+        finally:
+            self._ship_spans()
         return self.summary()
 
     def summary(self) -> Dict[str, Any]:

@@ -286,8 +286,10 @@ class ServiceAPI:
 
     @staticmethod
     def _json(status: int, payload: Any) -> ApiResponse:
-        """One JSON response (human-readable rendering, both servers)."""
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        """One compact JSON response (the C encoder; CLIs pretty-print)."""
+        body = (
+            json.dumps(payload, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
         return ApiResponse(status, body)
 
     @staticmethod

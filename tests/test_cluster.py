@@ -17,6 +17,8 @@ import pytest
 from repro.cluster.coordinator import (
     ClusterCoordinator,
     ClusterError,
+    CoordinatorMachine,
+    case_refs,
     unit_digest,
 )
 from repro.cluster.worker import Worker, corrupt_rows, run_worker_thread
@@ -25,6 +27,7 @@ from repro.dist.faults import (
     NoFaultAdversary,
 )
 from repro.experiments.registry import get_scenario
+from repro.obs.trace import activate, new_trace
 from repro.experiments.runner import (
     _collect_cases,
     _execute_cases,
@@ -512,3 +515,218 @@ def test_worker_summary_and_register_roundtrip():
     assert summary["worker_id"] == worker.worker_id
     assert summary["completed"] == 0
     assert summary["crashed"] is False
+
+
+# -- one log entry per unit: complete grants, lease reads ----------------
+
+
+def machine_with_sweep(n_cases=2, redundancy=1, lease_ttl=10.0):
+    """A machine holding one ``n_cases``-unit sweep; returns (machine, ids)."""
+    machine = CoordinatorMachine(
+        redundancy=redundancy, lease_ttl=lease_ttl, quarantine_after=1
+    )
+    reply = machine.apply(
+        {
+            "op": "submit",
+            "cases": case_refs(e1_cases()[:n_cases]),
+            "base_seed": 0,
+            "redundancy": redundancy,
+            "now": 0.0,
+        }
+    )
+    return machine, reply["unit_ids"]
+
+
+def register(machine, name):
+    """Register one worker at logical time 0; returns its id."""
+    return machine.apply({"op": "register", "name": name, "now": 0.0})[
+        "worker_id"
+    ]
+
+
+def lease(machine, worker_id, now):
+    """Apply one ``lease`` command; returns the leased unit (or None)."""
+    return machine.apply({"op": "lease", "worker_id": worker_id, "now": now})[
+        "unit"
+    ]
+
+
+def complete(machine, worker_id, unit, rows=None, now=1.0):
+    """Apply one ``complete`` command with honest (or the given) rows."""
+    return machine.apply(
+        {
+            "op": "complete",
+            "worker_id": worker_id,
+            "unit_id": unit["unit_id"],
+            "rows": honest_rows(unit) if rows is None else rows,
+            "now": now,
+        }
+    )
+
+
+def test_machine_complete_grants_the_next_lease():
+    machine, unit_ids = machine_with_sweep(n_cases=3)
+    w = register(machine, "w")
+    first = lease(machine, w, now=0.0)
+    assert first["unit_id"] == unit_ids[0]
+    assert complete(machine, w, first)["status"] == "accepted"
+    # The same command granted the next unit; the accepted one left the
+    # queue, which now holds only unresolved units.
+    assert w in machine.s["units"][unit_ids[1]]["leases"]
+    assert machine.s["queue"] == unit_ids[1:]
+    assert machine.stats()["leases_granted"] == 2
+    held = machine.peek_lease(w, now=1.0, settled=True)
+    assert held["unit"]["unit_id"] == unit_ids[1]
+    # The lease command agrees with the read and grants nothing new.
+    assert lease(machine, w, now=1.0)["unit_id"] == unit_ids[1]
+    assert machine.stats()["leases_granted"] == 2
+
+
+def test_machine_lease_returns_the_held_unexpired_lease():
+    machine, unit_ids = machine_with_sweep(n_cases=2)
+    w = register(machine, "w")
+    assert lease(machine, w, now=0.0)["unit_id"] == unit_ids[0]
+    assert lease(machine, w, now=5.0)["unit_id"] == unit_ids[0]
+    assert machine.stats()["leases_granted"] == 1
+    assert machine.s["units"][unit_ids[1]]["leases"] == {}
+
+
+def test_machine_expired_held_lease_is_not_returned():
+    machine, unit_ids = machine_with_sweep(n_cases=2, lease_ttl=10.0)
+    w = register(machine, "w")
+    assert lease(machine, w, now=0.0)["unit_id"] == unit_ids[0]
+    # Past its deadline the held lease is not a read: only a command
+    # may reap it, and that command grants a fresh lease.
+    assert machine.peek_lease(w, now=11.0, settled=True) is None
+    regranted = lease(machine, w, now=11.0)
+    assert regranted["unit_id"] == unit_ids[0]
+    stats = machine.stats()
+    assert (stats["leases_expired"], stats["leases_granted"]) == (1, 2)
+    assert machine.s["units"][unit_ids[0]]["leases"] == {w: 21.0}
+
+
+def test_machine_quarantined_worker_gets_nothing():
+    machine, unit_ids = machine_with_sweep(n_cases=2, redundancy=3)
+    byz = register(machine, "byz")
+    h1 = register(machine, "h1")
+    h2 = register(machine, "h2")
+    unit = lease(machine, byz, now=0.0)
+    complete(machine, byz, unit, rows=[{"garbage": 1}])
+    # Still trusted after its (pending) vote: granted the second unit.
+    assert byz in machine.s["units"][unit_ids[1]]["leases"]
+    complete(machine, h1, unit)
+    assert complete(machine, h2, unit)["status"] == "accepted"
+    # Outvoted and quarantined: its lease is released, a further
+    # completion grants nothing, and its lease is never a read.
+    assert machine.workers_view()[0]["quarantined"] is True
+    second = machine.s["units"][unit_ids[1]]
+    assert byz not in second["leases"]
+    reply = complete(machine, byz, machine._lease_payload(second))
+    assert reply["status"] == "quarantined"
+    assert byz not in second["leases"]
+    assert machine.peek_lease(byz, now=2.0, settled=True) is None
+    assert machine.apply({"op": "lease", "worker_id": byz, "now": 2.0}) == {
+        "unit": None,
+        "open": 1,
+        "quarantined": True,
+    }
+
+
+def test_machine_peek_lease_empty_only_when_settled_and_nothing_expired():
+    machine, unit_ids = machine_with_sweep(n_cases=1, lease_ttl=10.0)
+    a = register(machine, "a")
+    b = register(machine, "b")
+    assert lease(machine, a, now=0.0)["unit_id"] == unit_ids[0]
+    idle = {"unit": None, "open": 1, "quarantined": False}
+    assert machine.peek_lease(b, now=1.0, settled=True) == idle
+    # An unapplied entry (a submit in flight) may hold work: no read.
+    assert machine.peek_lease(b, now=1.0, settled=False) is None
+    # An expired lease must be reaped by a command first.
+    assert machine.peek_lease(b, now=10.0, settled=True) is None
+
+
+def test_machine_restore_rebuilds_the_lease_index():
+    machine, unit_ids = machine_with_sweep(n_cases=2, lease_ttl=10.0)
+    w = register(machine, "w")
+    lease(machine, w, now=0.0)
+    twin = CoordinatorMachine(lease_ttl=10.0, quarantine_after=1)
+    twin.restore(machine.snapshot())
+    for replica in (machine, twin):
+        replica.apply({"op": "tick", "now": 11.0})
+        assert replica.stats()["leases_expired"] == 1
+    assert twin.state_digest() == machine.state_digest()
+
+
+class _SpanCountingTransport:
+    """An in-process transport that records every span batch pushed."""
+
+    def __init__(self, coordinator):
+        self.coordinator = coordinator
+        self.batches = []
+
+    def register_worker(self, name, worker_id=None):
+        """Forward to the coordinator."""
+        return self.coordinator.register_worker(name, worker_id=worker_id)
+
+    def lease(self, worker_id):
+        """Forward to the coordinator."""
+        return self.coordinator.lease(worker_id)
+
+    def complete(self, worker_id, unit_id, rows):
+        """Forward to the coordinator."""
+        return self.coordinator.complete(worker_id, unit_id, rows)
+
+    def push_spans(self, spans):
+        """Record one pushed batch."""
+        self.batches.append(list(spans))
+
+
+def test_worker_batches_span_pushes_without_losing_any():
+    """A busy worker ships its spans when idle, not once per unit."""
+    coordinator = ClusterCoordinator()
+    transport = _SpanCountingTransport(coordinator)
+    stop = threading.Event()
+    worker, thread = run_worker_thread(transport, name="w", stop=stop)
+    try:
+        with activate(new_trace()) as ctx:
+            coordinator.execute_cases(e1_cases(replications=3), timeout=30)
+        wait_until_pushed = time.monotonic() + 10.0
+        while (
+            sum(len(b) for b in transport.batches) < 12
+            and time.monotonic() < wait_until_pushed
+        ):
+            time.sleep(0.01)
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    spans = [s for batch in transport.batches for s in batch]
+    assert worker.completed == 12
+    assert len(spans) == 12
+    assert {s["name"] for s in spans} == {"worker.run_unit"}
+    assert {s["trace_id"] for s in spans} == {ctx.trace_id}
+    # Leases never come back empty mid-sweep (each complete grants the
+    # next unit), so the twelve spans travel in at most two pushes.
+    assert len(transport.batches) <= 2
+
+
+def test_worker_pushes_spans_before_its_buffer_wraps(monkeypatch):
+    """A full span buffer is shipped before a further span could evict one."""
+    import repro.cluster.worker as worker_module
+
+    monkeypatch.setattr(worker_module, "_SPAN_CAPACITY", 4)
+    coordinator = ClusterCoordinator()
+    transport = _SpanCountingTransport(coordinator)
+    worker = Worker(transport, name="w", poll=0.01)
+
+    def traced_sweep():
+        """Submit under a trace, so every unit's span is recorded."""
+        with activate(new_trace()):
+            coordinator.execute_cases(e1_cases(replications=3), timeout=30)
+
+    thread = threading.Thread(target=traced_sweep, daemon=True)
+    thread.start()
+    worker.run(max_units=12)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [len(batch) for batch in transport.batches] == [4, 4, 4]

@@ -356,3 +356,46 @@ def test_tick_commands_expire_leases_identically_on_all_replicas(fabric):
     fab.spawn_workers(2)
     status = client.wait_for_job(submitted["job_id"], timeout=120)
     assert status["status"] == "done"
+
+
+def _log_index(replica):
+    """The replica's last appended log index."""
+    return replica.raft_status()["last_log_index"]
+
+
+def test_r1_sweep_commits_about_one_entry_per_unit(fabric):
+    """``complete`` carries the next lease, so a busy worker's ``lease``
+    is a leader read: an N-unit r=1 sweep costs N completes plus a
+    fixed handful of entries (submit, purge, each worker's first
+    lease, an empty lease racing an unapplied entry).  A large
+    ``tick_interval`` keeps lease-expiry ticks out of the count.
+    """
+    fab = fabric(n=3, tick_interval=60.0)
+    leader = fab.wait_leader()
+    fab.spawn_workers(2)
+    wait_until(lambda: len(leader.workers()) == 2)
+    client = fab.client(timeout=30.0)
+    before = _log_index(leader)
+    job, results = client.run_sweep(
+        scenarios=[E1], replications=5, executor="cluster", timeout=120
+    )
+    units = len(results)
+    assert units == job["cache_misses"] == 20
+    spent = _log_index(leader) - before
+    assert units <= spent <= units + 10, spent
+    assert leader.stats()["units_completed"] == units
+    fab.assert_digests_consistent()
+
+
+def test_idle_workers_add_no_log_entries(fabric):
+    """Polling workers with nothing to lease never write the log."""
+    fab = fabric(n=3)
+    leader = fab.wait_leader()
+    fab.spawn_workers(2)
+    client = fab.client(timeout=30.0)
+    client.run_sweep(scenarios=[E1], executor="cluster", timeout=120)
+    time.sleep(0.2)  # let the last in-flight request land
+    before = _log_index(leader)
+    time.sleep(1.0)  # ~50 empty polls per worker at poll=0.02
+    assert _log_index(leader) == before
+    assert leader.raft_status()["role"] == "leader"
