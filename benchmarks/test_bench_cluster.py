@@ -33,7 +33,7 @@ import pytest
 
 from conftest import print_table, record_row
 
-from repro.cluster import ClusterCoordinator, run_worker_thread
+from repro.cluster import Replica, run_worker_thread
 from repro.experiments.registry import scenario, unregister
 from repro.service.aserver import start_async_server
 from repro.service.client import ServiceClient
@@ -80,7 +80,9 @@ def _timed_sweep(client: ServiceClient, name: str, base_seed: int) -> float:
 def test_bench_cluster_two_workers_beat_one(tmp_path, latency_scenario):
     """Record 1-worker vs 2-worker wall clock on a parallelizable sweep."""
     store = ResultStore(str(tmp_path / "server-cache"))
-    coordinator = ClusterCoordinator(store=store, unit_size=1, lease_ttl=60.0)
+    coordinator = Replica(
+        None, "local", store=store, unit_size=1, lease_ttl=60.0
+    ).start()
     server, _thread = start_async_server(store=store, coordinator=coordinator)
     host, port = server.server_address[:2]
     url = f"http://{host}:{port}"
@@ -112,6 +114,7 @@ def test_bench_cluster_two_workers_beat_one(tmp_path, latency_scenario):
             thread.join(timeout=10)
         server.shutdown()
         server.server_close()
+        coordinator.close()
 
     speedup = one_s / two_s
     record_row("cluster", "sweep_1worker", one_s, workload=WORKLOAD)

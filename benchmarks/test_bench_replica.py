@@ -8,7 +8,7 @@ HTTP servers, ephemeral ports) with a real worker. Three rows go to
   a surviving replica answering as leader (the fabric's write outage
   window on a crash);
 * ``sweep_single_coordinator`` — a 6-case latency-bound sweep against a
-  plain single-coordinator server (the pre-replication control plane);
+  single-coordinator server (a peerless in-memory replica);
 * ``sweep_replicated`` — the same sweep against the 3-replica fabric;
   the workload string records the consensus overhead ratio.
 
@@ -30,8 +30,7 @@ import pytest
 
 from conftest import print_table, record_row
 
-from repro.cluster import ClusterCoordinator, run_worker_thread
-from repro.cluster.replica import Replica
+from repro.cluster import Replica, run_worker_thread
 from repro.experiments.registry import scenario, unregister
 from repro.service.aserver import start_async_server
 from repro.service.client import ServiceClient
@@ -133,21 +132,25 @@ def test_bench_replica_failover_and_overhead(tmp_path, latency_scenario):
 
     # -- single-coordinator reference ----------------------------------
     single_store = ResultStore(str(tmp_path / "single-cache"))
-    coordinator = ClusterCoordinator(store=single_store, lease_ttl=60.0)
+    coordinator = Replica(
+        None, "local", store=single_store, lease_ttl=60.0
+    ).start()
     single_server, _thread = start_async_server(
         store=single_store, coordinator=coordinator
     )
     servers.append(single_server)
+    replicas.append(coordinator)
     host, port = single_server.server_address[:2]
     single_url = f"http://{host}:{port}"
     single_client = ServiceClient(single_url, timeout=120.0)
 
     # -- 3-replica fabric ----------------------------------------------
     fabric_store = ResultStore(str(tmp_path / "fabric-cache"))
-    urls, replicas, fabric_servers = _start_fabric(tmp_path, fabric_store)
+    urls, fabric, fabric_servers = _start_fabric(tmp_path, fabric_store)
+    replicas.extend(fabric)
     servers.extend(fabric_servers)
     fabric_client = ServiceClient(",".join(urls), timeout=120.0)
-    leader = _wait_single_leader(replicas)
+    leader = _wait_single_leader(fabric)
 
     try:
         _w, t = run_worker_thread(
@@ -173,11 +176,11 @@ def test_bench_replica_failover_and_overhead(tmp_path, latency_scenario):
         replicated_s = _timed_sweep(fabric_client, latency_scenario, 101)
 
         # -- failover: kill the leader, time the new election ----------
-        index = replicas.index(leader)
+        index = fabric.index(leader)
         start = time.perf_counter()
         leader.hard_stop()
         fabric_servers[index].shutdown()
-        survivor = _wait_single_leader(replicas)
+        survivor = _wait_single_leader(fabric)
         failover_s = time.perf_counter() - start
         assert survivor is not leader
     finally:

@@ -1,6 +1,6 @@
 """Service benchmarks: cold sweep latency and warm-cache request rates.
 
-Everything runs against a real in-process ``ThreadingHTTPServer`` on an
+Everything runs against the real in-process asyncio server on an
 ephemeral port, exactly as a remote client would see it.  Three rows go
 to ``BENCH_service.json``:
 

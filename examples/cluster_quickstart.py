@@ -1,11 +1,12 @@
 """Cluster quickstart: a fault-tolerant sweep with a Byzantine worker.
 
-Starts the experiment server with a :class:`ClusterCoordinator` on an
-ephemeral port, attaches three workers over the real HTTP protocol —
-two honest, one wrapped in the ``repro.dist.faults`` ByzantineRandom
-adversary — and submits the paper's E1 robustness sweep with 3-fold
-redundancy.  The Byzantine worker's corrupt payloads lose the majority
-quorum, it gets quarantined, and the accepted results are byte-identical
+Starts the experiment server with a single-process coordinator (a
+peerless in-memory :class:`Replica`) on an ephemeral port, attaches
+three workers over the real HTTP protocol — two honest, one wrapped in
+the ``repro.dist.faults`` ByzantineRandom adversary — and submits the
+paper's E1 robustness sweep with 3-fold redundancy.  The Byzantine
+worker's corrupt payloads lose the majority quorum, it gets
+quarantined, and the accepted results are byte-identical
 (deterministic payload) to a plain serial run.  A warm re-run is then a
 full content-addressed cache hit that never touches the fabric.
 
@@ -18,7 +19,7 @@ import tempfile
 import threading
 import time
 
-from repro.cluster import ClusterCoordinator, run_worker_thread
+from repro.cluster import Replica, run_worker_thread
 from repro.dist.faults import ByzantineRandomAdversary
 from repro.experiments.results import format_table
 from repro.experiments.runner import run_experiments
@@ -30,9 +31,10 @@ SWEEP = "coordination_robustness"
 def main() -> None:
     cache_dir = tempfile.mkdtemp(prefix="repro-cluster-")
     store = ResultStore(cache_dir)
-    coordinator = ClusterCoordinator(
-        store=store, redundancy=3, unit_size=1, quarantine_after=1
-    )
+    coordinator = Replica(
+        None, "local", store=store, redundancy=3, unit_size=1,
+        quarantine_after=1,
+    ).start()
     server, _thread = start_async_server(store=store, coordinator=coordinator)
     host, port = server.server_address[:2]
     url = f"http://{host}:{port}"
@@ -115,6 +117,7 @@ def main() -> None:
         thread.join(timeout=10)
     server.shutdown()
     server.server_close()
+    coordinator.close()
     print()
     print("cluster stopped.")
 

@@ -3,7 +3,8 @@
 The reproduction eats its own cooking: Halpern's PODC'08 program is
 about solution concepts that survive faulty and Byzantine participants,
 and this package runs the experiment sweeps on a compute fabric built to
-the same standard.  A :class:`~repro.cluster.coordinator.ClusterCoordinator`
+the same standard.  A coordinator — a :class:`~repro.cluster.replica.Replica`
+driving the :class:`~repro.cluster.coordinator.CoordinatorMachine` —
 shards a sweep's cases by content-address key into work units and leases
 them to registered :class:`~repro.cluster.worker.Worker` processes over
 the :mod:`repro.service` HTTP API (``POST /v1/workers``, ``/v1/lease``,
@@ -25,12 +26,13 @@ the :mod:`repro.service` HTTP API (``POST /v1/workers``, ``/v1/lease``,
 Fault injection reuses the :mod:`repro.dist.faults` adversary hierarchy
 (NoFault/Crash/ByzantineRandom/Scripted) wrapped around the worker loop.
 
-The coordinator itself is no longer a single point of failure: the
-:mod:`repro.cluster.replica` module replicates the scheduling machine
-across 3+ :class:`~repro.cluster.replica.Replica` processes behind a
+The coordinator need not be a single point of failure: the same
+:class:`~repro.cluster.replica.Replica` runs as 3+ processes behind a
 majority-quorum consensus log (:class:`~repro.cluster.log.DurableLog`
 on disk, :class:`~repro.cluster.replica.RaftCore` for the pure
-consensus rules).  Followers bounce writes with HTTP 421 plus a leader
+consensus rules).  A single-process coordinator is one peerless
+``Replica(None, url)`` over an in-memory
+:class:`~repro.cluster.replica.MemoryLog`.  Followers bounce writes with HTTP 421 plus a leader
 hint (:class:`~repro.cluster.errors.NotLeaderError`); workers and
 clients take every replica URL and fail over automatically, so sweeps
 finish byte-identically through a leader ``SIGKILL``.
@@ -51,7 +53,6 @@ or, replicated (one ``replica`` process per data directory)::
 """
 
 from repro.cluster.coordinator import (
-    ClusterCoordinator,
     ClusterError,
     ClusterExecutor,
     CoordinatorMachine,
@@ -63,7 +64,6 @@ from repro.cluster.replica import MemoryLog, RaftCore, Replica
 from repro.cluster.worker import Worker, corrupt_rows, run_worker_thread
 
 __all__ = [
-    "ClusterCoordinator",
     "ClusterError",
     "ClusterExecutor",
     "CoordinatorMachine",

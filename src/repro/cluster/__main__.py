@@ -33,7 +33,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.replica import Replica
 from repro.cluster.worker import Worker
 from repro.dist.faults import ByzantineRandomAdversary, CrashAdversary
@@ -102,33 +101,18 @@ def _build_watchdog(args: argparse.Namespace, default_endpoints: List[str]):
 
 
 def _cmd_coordinator(args: argparse.Namespace) -> int:
-    """Run the blocking HTTP server with a cluster coordinator attached."""
+    """Run the HTTP service over a peerless, in-memory replica."""
     store = None if args.cache_dir is None else ResultStore(args.cache_dir)
-    coordinator = ClusterCoordinator(
+    coordinator = Replica(
+        None,
+        f"http://{args.host}:{args.port}",
         store=store,
         redundancy=args.redundancy,
         unit_size=args.unit_size,
         lease_ttl=args.lease_ttl,
         quarantine_after=args.quarantine_after,
     )
-    watchdog = None
-    if args.watch:
-        self_url = f"http://{args.host}:{args.port}"
-        watchdog = _build_watchdog(args, [self_url])
-        coordinator.attach_watchdog(watchdog)
-        watchdog.start()
-    try:
-        aserve_forever(
-            host=args.host,
-            port=args.port,
-            cache_dir=args.cache_dir,
-            store=store,
-            coordinator=coordinator,
-        )
-    finally:
-        if watchdog is not None:
-            watchdog.stop()
-    return 0
+    return _serve(args, coordinator, store)
 
 
 def _cmd_replica(args: argparse.Namespace) -> int:
@@ -149,6 +133,13 @@ def _cmd_replica(args: argparse.Namespace) -> int:
         election_timeout=(args.election_min, args.election_max),
         fsync=not args.no_fsync,
     )
+    return _serve(args, replica, store)
+
+
+def _serve(
+    args: argparse.Namespace, replica: Replica, store: Optional[ResultStore]
+) -> int:
+    """Start ``replica`` (and its watchdog) and serve the API until stopped."""
     if args.watch:
         watchdog = _build_watchdog(args, replica.watch_endpoints())
         replica.attach_watchdog(watchdog)

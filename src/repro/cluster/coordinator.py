@@ -1,6 +1,4 @@
-"""Coordinator: a deterministic scheduling state machine plus a thin shell.
-
-Since PR 8 the brain of the compute fabric is split in two layers:
+"""Coordinator: the deterministic scheduling state machine of the fabric.
 
 * :class:`CoordinatorMachine` — a **pure, deterministic, replicated-log
   -ready state machine**.  Its entire state is one JSON-serializable
@@ -17,15 +15,16 @@ Since PR 8 the brain of the compute fabric is split in two layers:
   is the sha256 the replicated control plane's anti-entropy probes
   compare.
 
-* :class:`ClusterCoordinator` — the thread-safe single-process shell
-  that keeps the historical public surface (``register_worker`` /
-  ``lease`` / ``complete`` / ``execute_cases`` / ``stats``): it applies
-  commands directly under one lock, stamps ``now`` from the wall clock,
-  and flushes store effects outside the lock.  The replicated
-  deployment (:mod:`repro.cluster.replica`) drives the *same* machine
-  through a majority-quorum log instead.
+* :func:`flush_effects` and :class:`ClusterExecutor` — the machine's
+  side-effect flusher and the runner-pluggable executor adapter.
 
-Scheduling semantics are unchanged from the original coordinator:
+One shell drives the machine: :class:`repro.cluster.replica.Replica`,
+which stamps ``now`` from the wall clock, appends every command to a
+majority-quorum log, and flushes store effects outside its lock.  The
+single-process coordinator is a peerless ``Replica`` over an in-memory
+log, so it runs the same write path as a replicated deployment.
+
+Scheduling semantics:
 
 * cases are sharded **by content-address key** (the same sha256 the
   result store uses) into work units, so the sharding is a pure
@@ -61,18 +60,14 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import threading
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.results import ExperimentResult
 from repro.obs.logs import log_event
-from repro.obs.metrics import default_registry
-from repro.obs.trace import current_context, span_for_trace_id
+from repro.obs.trace import span_for_trace_id
 from repro.service.store import canonical_json, result_key
 
 __all__ = [
-    "ClusterCoordinator",
     "ClusterError",
     "ClusterExecutor",
     "CoordinatorMachine",
@@ -859,310 +854,6 @@ class CoordinatorMachine:
             sweep["error"] = message
 
 
-class ClusterCoordinator:
-    """Thread-safe single-process shell over one :class:`CoordinatorMachine`.
-
-    Keeps the historical public surface — the HTTP layer
-    (:mod:`repro.service.app`) forwards ``POST /v1/workers``,
-    ``/v1/lease`` and ``/v1/complete`` bodies straight into
-    :meth:`register_worker`, :meth:`lease` and :meth:`complete`, and
-    the same three methods double as the in-process transport for
-    :class:`repro.cluster.worker.Worker`.
-
-    Parameters
-    ----------
-    store:
-        Optional :class:`~repro.service.store.ResultStore`;
-        quorum-accepted rows are written through
-        :meth:`~repro.service.store.ResultStore.put_quorum` as units
-        resolve — on the failure path too, so every unit accepted
-        before a timeout stays durable and is never recomputed.
-    redundancy:
-        Default r-fold replication per unit (overridable per sweep);
-        acceptance needs ``r // 2 + 1`` byte-identical payloads from
-        distinct workers.  ``1`` trusts a single worker (no
-        verification).
-    unit_size:
-        Cases per work unit.  ``1`` (the default) gives the finest
-        straggler tolerance; larger units amortize HTTP overhead.
-    lease_ttl:
-        Seconds before an uncompleted lease expires and is reassigned.
-    quarantine_after:
-        Strikes (losing or stale-mismatched votes) before a worker
-        stops receiving leases.
-    """
-
-    def __init__(
-        self,
-        store: Optional[Any] = None,
-        redundancy: int = 1,
-        unit_size: int = 1,
-        lease_ttl: float = 30.0,
-        quarantine_after: int = 1,
-        registry: Optional[Any] = None,
-    ) -> None:
-        self.store = store
-        self.redundancy = int(redundancy)
-        self.unit_size = int(unit_size)
-        self.lease_ttl = float(lease_ttl)
-        self.quarantine_after = int(quarantine_after)
-        self.watchdog: Optional[Any] = None
-        self._machine = CoordinatorMachine(
-            redundancy=redundancy,
-            unit_size=unit_size,
-            lease_ttl=lease_ttl,
-            quarantine_after=quarantine_after,
-        )
-        self._cond = threading.Condition()
-        self._flushing = 0  # in-flight store writes (outside the lock)
-        self.registry = default_registry() if registry is None else registry
-        if self.registry.enabled:
-            # Pull-mode gauges: each scrape snapshots the machine's
-            # scheduler counters under the coordinator lock.
-            for field in (
-                "workers",
-                "quarantined",
-                "open_units",
-                "leases_granted",
-                "leases_expired",
-                "units_completed",
-                "units_failed",
-                "votes_received",
-                "strikes_issued",
-            ):
-                self.registry.gauge(
-                    f"repro_cluster_{field}",
-                    f"Coordinator scheduler counter {field!r}, "
-                    "snapshotted at scrape time.",
-                ).set_fn(lambda f=field: float(self.stats().get(f, 0)))
-
-    # -- command plumbing ----------------------------------------------
-
-    def _now(self) -> float:
-        """The wall clock stamped into locally-applied commands."""
-        return time.time()
-
-    def _apply(self, command: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply one command under the lock; flush effects outside it.
-
-        Store writes happen off-lock so slow disks never stall worker
-        traffic, but they are *tracked*: ``_flushing`` counts in-flight
-        flushes and :meth:`execute_cases` drains it before returning,
-        so a finished sweep's quorum rows are always durable by the
-        time the caller sees results (or a timeout error).
-        """
-        with self._cond:
-            reply = self._machine.apply(command)
-            effects = self._machine.take_effects()
-            if effects:
-                self._flushing += 1
-            self._cond.notify_all()
-        if effects:
-            try:
-                flush_effects(self.store, effects)
-            finally:
-                with self._cond:
-                    self._flushing -= 1
-                    self._cond.notify_all()
-        if "error" in reply:
-            raise KeyError(reply["error"])
-        return reply
-
-    def _drain_flushes(self, timeout: float = 10.0) -> None:
-        """Block until every in-flight effect flush has hit the store."""
-        with self._cond:
-            self._cond.wait_for(
-                lambda: self._flushing == 0, timeout=timeout
-            )
-
-    # -- worker-facing API (mirrors the HTTP endpoints) ----------------
-
-    def register_worker(
-        self, name: Optional[str] = None, worker_id: Optional[str] = None
-    ) -> Dict[str, Any]:
-        """Register a worker; returns its assigned ``worker_id``.
-
-        Passing an explicit ``worker_id`` makes registration
-        idempotent: a worker re-registering after a failover keeps its
-        identity (and its strike history).
-        """
-        return self._apply(
-            {
-                "op": "register",
-                "name": name,
-                "worker_id": worker_id,
-                "now": self._now(),
-            }
-        )
-
-    def lease(self, worker_id: str) -> Dict[str, Any]:
-        """Grant the next eligible work unit to ``worker_id`` (or none)."""
-        return self._apply(
-            {"op": "lease", "worker_id": worker_id, "now": self._now()}
-        )
-
-    def complete(
-        self, worker_id: str, unit_id: str, rows: Sequence[Any]
-    ) -> Dict[str, Any]:
-        """Record one worker's result rows for a unit as a quorum vote."""
-        return self._apply(
-            {
-                "op": "complete",
-                "worker_id": worker_id,
-                "unit_id": unit_id,
-                "rows": list(rows),
-                "now": self._now(),
-            }
-        )
-
-    # -- sweep-facing API ----------------------------------------------
-
-    def execute_cases(
-        self,
-        cases: Sequence[tuple],
-        base_seed: int = 0,
-        redundancy: Optional[int] = None,
-        timeout: Optional[float] = None,
-        progress: Optional[Any] = None,
-    ) -> List[ExperimentResult]:
-        """Distribute runner ``Case`` tuples to workers; block until done.
-
-        This is the pluggable-executor entry point the experiment
-        runner delegates to (any object with an ``execute_cases``
-        attribute is treated as a case executor by
-        :func:`repro.experiments.runner.run_experiments`).  Cases are
-        submitted as one content-identified sweep and the call blocks —
-        ticking the machine's logical clock so leases expire as it
-        waits — until every unit is quorum-accepted.  Results come back
-        in the original case order, built from the winning votes' rows.
-        ``progress`` (one finished :class:`ExperimentResult` per call)
-        fires from this thread, outside the scheduler lock, as units
-        are accepted — so a polling client sees live completion counts.
-        """
-        if not cases:
-            return []
-        r = self.redundancy if redundancy is None else int(redundancy)
-        if r < 1:
-            raise ValueError("redundancy must be >= 1")
-        refs = case_refs(cases)
-        ctx = current_context()
-        submitted = self._apply(
-            {
-                "op": "submit",
-                "cases": refs,
-                "base_seed": int(base_seed),
-                "redundancy": r,
-                "trace": None if ctx is None else ctx.trace_id,
-                "now": self._now(),
-            }
-        )
-        sweep_id = submitted["sweep_id"]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        reported: set = set()
-        try:
-            while True:
-                with self._cond:
-                    view = self._machine.sweep_view(sweep_id)
-                    assert view is not None  # purged only in finally
-                    if view["error"] is not None:
-                        raise ClusterError(view["error"])
-                    finished = view["open_units"] == 0
-                    fresh = [
-                        (i, row)
-                        for i, row in enumerate(view["slots"])
-                        if row is not None and i not in reported
-                    ]
-                    if not finished and not fresh:
-                        now = time.monotonic()
-                        if deadline is not None and now >= deadline:
-                            pending = view["pending_units"]
-                            raise ClusterError(
-                                f"cluster sweep timed out after {timeout}s "
-                                f"with {len(pending)} unresolved units: "
-                                f"{pending[:5]}"
-                            )
-                        # Advance the logical clock so expired leases
-                        # are reaped even while no worker is talking.
-                        self._machine.apply(
-                            {"op": "tick", "now": self._now()}
-                        )
-                        wait = min(self.lease_ttl, 0.25)
-                        if deadline is not None:
-                            wait = min(wait, max(deadline - now, 0.0))
-                        self._cond.wait(timeout=wait)
-                        continue
-                    if finished:
-                        rows = list(view["slots"])
-                # Report outside the lock: a callback that re-enters
-                # the coordinator (or blocks) must not stall worker
-                # traffic.
-                for i, row in fresh:
-                    reported.add(i)
-                    if progress is not None:
-                        progress(ExperimentResult.from_dict(row))
-                if finished:
-                    return [ExperimentResult.from_dict(row) for row in rows]
-        finally:
-            self._apply(
-                {"op": "purge", "sweep_id": sweep_id, "now": self._now()}
-            )
-            # Units accepted before a timeout stay durable: never leave
-            # this frame with their store writes still in flight.
-            self._drain_flushes()
-
-    def executor(
-        self,
-        redundancy: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> "ClusterExecutor":
-        """A runner-pluggable executor bound to a redundancy + deadline."""
-        return ClusterExecutor(self, redundancy=redundancy, timeout=timeout)
-
-    # -- introspection -------------------------------------------------
-
-    def workers(self) -> List[Dict[str, Any]]:
-        """Per-worker registry snapshot (id, throughput, strikes, trust)."""
-        with self._cond:
-            return self._machine.workers_view()
-
-    def stats(self) -> Dict[str, Any]:
-        """Scheduler counters for the health endpoint and tests."""
-        with self._cond:
-            return self._machine.stats()
-
-    def state_digest(self) -> str:
-        """The machine's canonical state sha256 (anti-entropy identity)."""
-        with self._cond:
-            return self._machine.state_digest()
-
-    # -- watchdog embedding --------------------------------------------
-
-    def attach_watchdog(self, watchdog: Any) -> Any:
-        """Embed a running fleet watchdog in this coordinator process.
-
-        The service API looks the watchdog up dynamically through the
-        coordinator, so attaching one makes the server's
-        ``/v1/watch/*`` routes answer immediately.
-        """
-        self.watchdog = watchdog
-        return watchdog
-
-    # -- test/debug helpers --------------------------------------------
-
-    def _shard(
-        self, cases: Sequence[tuple], base_seed: int, redundancy: int
-    ) -> List[Dict[str, Any]]:
-        """Shard cases as a submit would, without enqueueing anything."""
-        refs = case_refs(cases)
-        with self._cond:
-            return self._machine._shard_refs(
-                refs,
-                int(base_seed),
-                int(redundancy),
-                sweep_id_for(refs, base_seed, redundancy),
-            )
-
-
 def flush_effects(store: Optional[Any], effects: List[Dict[str, Any]]) -> None:
     """Flush machine effects: store writes, events, and trace spans.
 
@@ -1234,9 +925,8 @@ class ClusterExecutor:
     — when the per-sweep redundancy differs from the coordinator
     default.  ``timeout`` bounds the blocking wait (the job manager
     sets one so a quorum that can never form fails the job instead of
-    wedging its slot forever).  Works identically over a
-    :class:`ClusterCoordinator` and a replicated
-    :class:`~repro.cluster.replica.Replica`.
+    wedging its slot forever).  ``coordinator`` is a
+    :class:`~repro.cluster.replica.Replica`, peerless or replicated.
     """
 
     def __init__(

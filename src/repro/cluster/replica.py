@@ -48,6 +48,12 @@ Deployment::
 
 Workers and clients take all replica URLs
 (``--url http://…:8651,http://…:8652,…``) and fail over automatically.
+
+The single-process coordinator is the degenerate case of the same
+protocol: ``Replica(None, url).start()`` keeps its log in a
+:class:`MemoryLog`, has no peers, and leads as soon as ``start``
+returns (a one-node majority is itself).  ``python -m repro.cluster
+coordinator`` serves exactly that.
 """
 
 from __future__ import annotations
@@ -78,11 +84,12 @@ __all__ = ["MemoryLog", "NotLeaderError", "RaftCore", "Replica"]
 class MemoryLog:
     """A :class:`~repro.cluster.log.DurableLog` look-alike in memory.
 
-    Same interface, no disk: this is what the model checker (and
-    in-process unit tests) plug into :class:`RaftCore` so consensus
-    transitions stay pure.  "Durability" here means surviving a
-    *modeled* crash — the checker keeps the MemoryLog and discards the
-    volatile core, exactly mirroring what a real crash preserves.
+    Same interface, no disk: this is what the model checker plugs into
+    :class:`RaftCore` so consensus transitions stay pure, and what a
+    peerless single-process :class:`Replica` logs to.  "Durability"
+    here means surviving a *modeled* crash — the checker keeps the
+    MemoryLog and discards the volatile core, exactly mirroring what a
+    real crash preserves.
     """
 
     def __init__(self) -> None:
@@ -150,6 +157,21 @@ class MemoryLog:
         self.base_term = int(last_included_term)
         self.snapshot_state = machine_state
         self.entries = []
+
+    def compact(
+        self, upto_index: int, machine_state: Dict[str, Any]
+    ) -> None:
+        """Fold the prefix through ``upto_index`` into a snapshot."""
+        term = self.term_at(upto_index)
+        if term is None or upto_index <= self.base_index:
+            return
+        self.entries = self.entries[upto_index - self.base_index :]
+        self.base_index = int(upto_index)
+        self.base_term = term
+        self.snapshot_state = machine_state
+
+    def close(self) -> None:
+        """Nothing to release: the log lives and dies with the process."""
 
     def clone(self) -> "MemoryLog":
         """An independent copy (the checker forks states)."""
@@ -479,24 +501,27 @@ class Replica:
 
     Wraps a :class:`RaftCore` + :class:`~repro.cluster.log.DurableLog`
     + :class:`~repro.cluster.coordinator.CoordinatorMachine` with the
-    threads and HTTP channels a live deployment needs, while exposing
-    the exact same surface as a single-process
-    :class:`~repro.cluster.coordinator.ClusterCoordinator` — the
-    service layer (:mod:`repro.service.app`) and the job manager call
+    threads and HTTP channels a live deployment needs.  The service
+    layer (:mod:`repro.service.app`), the job manager and in-process
+    :class:`~repro.cluster.worker.Worker` transports call
     ``register_worker`` / ``lease`` / ``complete`` / ``execute_cases``
-    / ``stats`` without knowing which one they hold.  Writes raise
-    :class:`NotLeaderError` on followers (→ HTTP 421 + leader hint);
-    reads serve from local applied state.
+    / ``stats`` on it directly.  Writes raise :class:`NotLeaderError`
+    on followers (→ HTTP 421 + leader hint); reads serve from local
+    applied state.
+
+    ``Replica(None, url).start()`` is the single-process coordinator:
+    an in-memory :class:`MemoryLog`, no peers, leader on return.
 
     Parameters
     ----------
     data_dir:
-        This replica's private durable directory (log + snapshot).
+        This replica's private durable directory (log + snapshot), or
+        None to keep the log in memory (nothing survives a restart).
     self_url:
         The URL peers reach *this* replica on; doubles as its node id.
     peer_urls:
-        The other replicas' URLs.  Empty list = single-node (useful
-        for tests; elects itself instantly).
+        The other replicas' URLs.  Empty list = single-node: it elects
+        itself inside :meth:`start`.
     store:
         Optional result store; quorum-accepted rows are flushed on
         every replica (writes are content-addressed and idempotent).
@@ -520,7 +545,7 @@ class Replica:
 
     def __init__(
         self,
-        data_dir: str,
+        data_dir: Optional[str],
         self_url: str,
         peer_urls: Sequence[str] = (),
         store: Optional[Any] = None,
@@ -554,7 +579,11 @@ class Replica:
 
         self.watchdog: Optional[Any] = None
         self.registry = default_registry() if registry is None else registry
-        self._log = DurableLog(data_dir, fsync=fsync, registry=self.registry)
+        self._log: Any = (
+            MemoryLog()
+            if data_dir is None
+            else DurableLog(data_dir, fsync=fsync, registry=self.registry)
+        )
         self._core = RaftCore(self.self_url, self.peer_urls, self._log)
         self._machine = CoordinatorMachine(
             redundancy=redundancy,
@@ -618,11 +647,40 @@ class Replica:
                 "repro_raft_is_leader",
                 "1 when this node believes it leads, else 0.",
             ).set_fn(lambda: 1.0 if self._core.role == "leader" else 0.0)
+            # Scheduler pull-gauges: each scrape snapshots the applied
+            # machine's counters under the replica lock.
+            for field in (
+                "workers",
+                "quarantined",
+                "open_units",
+                "leases_granted",
+                "leases_expired",
+                "units_completed",
+                "units_failed",
+                "votes_received",
+                "strikes_issued",
+            ):
+                self.registry.gauge(
+                    f"repro_cluster_{field}",
+                    f"Coordinator scheduler counter {field!r}, "
+                    "snapshotted at scrape time.",
+                ).set_fn(lambda f=field: float(self.stats().get(f, 0)))
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "Replica":
-        """Spawn the ticker and per-peer channel threads; returns self."""
+        """Spawn the ticker and per-peer channel threads; returns self.
+
+        A peerless replica is its own majority: it wins an election
+        here, so it leads (and serves writes) when this returns.
+        """
+        if not self.peer_urls:
+            with self._cond:
+                self._core.start_election()
+                self._m_elections.inc()
+                effects = self._advance_locked()
+            self._observe_role()
+            self._flush(effects)
         ticker = threading.Thread(
             target=self._ticker_loop, name="replica-ticker", daemon=True
         )

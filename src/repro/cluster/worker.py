@@ -14,8 +14,8 @@ executions of a unit the worker has already seen cost one JSON parse.
 The ``transport`` is anything with ``register_worker`` / ``lease`` /
 ``complete`` — a :class:`~repro.service.client.ServiceClient` for a real
 multi-process cluster over HTTP, or a
-:class:`~repro.cluster.coordinator.ClusterCoordinator` directly for
-in-process tests, since the HTTP layer forwards bodies verbatim.
+:class:`~repro.cluster.replica.Replica` directly for in-process use,
+since the HTTP layer forwards bodies verbatim.
 
 Fault injection reuses the :mod:`repro.dist.faults` adversary hierarchy,
 wrapped around the loop exactly where the synchronous simulator wraps it
@@ -86,7 +86,7 @@ class Worker:
         Object with ``register_worker(name)``, ``lease(worker_id)`` and
         ``complete(worker_id, unit_id, rows)`` — a
         :class:`~repro.service.client.ServiceClient` or a
-        :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+        :class:`~repro.cluster.replica.Replica`.
     name:
         Human-readable worker name (defaults to the assigned id).
     store:

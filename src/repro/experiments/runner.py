@@ -182,7 +182,7 @@ def _execute_cases(
     ``concurrent.futures`` pool (the service's persistent one) or a
     *case executor* — any object with an ``execute_cases(cases,
     base_seed=..., progress=...)`` method, such as a
-    :class:`repro.cluster.coordinator.ClusterCoordinator` (or its
+    :class:`repro.cluster.replica.Replica` (or its
     redundancy-bound :class:`~repro.cluster.coordinator.ClusterExecutor`)
     — which receives the post-cache pending cases wholesale and returns
     their results in order.  ``executor_factory`` defers the pool choice
@@ -296,7 +296,7 @@ def run_experiments(
     :mod:`repro.service.store`) and persists fresh ones; ``executor``
     lets a caller-owned pool be reused across sweeps — or, given any
     object with an ``execute_cases`` method (e.g. a
-    :class:`repro.cluster.coordinator.ClusterCoordinator`), fans the
+    :class:`repro.cluster.replica.Replica`), fans the
     pending cases out to a whole compute fabric; ``progress`` is
     called once per finished case.  Results are always returned in
     deterministic case order regardless of worker scheduling.

@@ -235,7 +235,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     finally:
         watchdog.stop()
         if server is not None:
-            server.shutdown()
+            server.server_close()
     status = watchdog.status()
     if args.status_out:
         with open(args.status_out, "w", encoding="utf-8") as handle:

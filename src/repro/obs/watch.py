@@ -19,11 +19,11 @@ hang off that loop:
   active spans, the full alert log) to ``forensics_dir`` so the state
   that *preceded* the violation survives the incident.
 
-The watchdog runs embedded (a :class:`~repro.cluster.replica.Replica` or
-coordinator process serves ``/v1/watch/*`` from its own API) or
-standalone (``python -m repro.obs watch --endpoints ...``), where
-:func:`serve_watch_http` exposes the same three routes from a stdlib
-threading HTTP server.
+The watchdog runs embedded (a :class:`~repro.cluster.replica.Replica`
+process serves ``/v1/watch/*`` from its own API) or standalone
+(``python -m repro.obs watch --endpoints ...``), where
+:func:`serve_watch_http` serves the same routes from the service's
+asyncio server.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qsl, urlsplit
 
 from .logs import log_event
 from .metrics import MetricsRegistry, parse_prometheus
@@ -488,70 +486,22 @@ def serve_watch_http(
     host: str = "127.0.0.1",
     port: int = 0,
     quiet: bool = True,
-) -> ThreadingHTTPServer:
+) -> Any:
     """Serve ``/v1/watch/{status,query,dash}`` for a standalone watchdog.
 
-    Returns the started :class:`ThreadingHTTPServer` (listening on a
-    daemon thread); ``server.server_address[1]`` is the bound port and
-    ``server.shutdown()`` stops it.  The embedded path — a replica or
-    coordinator process serving the same routes from its own asyncio
-    server — does not use this; the standalone CLI does.
+    Starts the service's asyncio server with the watchdog attached and
+    its registry as ``/v1/metrics``, and returns that server's handle:
+    ``handle.server_address[1]`` is the bound port and
+    ``handle.shutdown()`` stops it.  An embedded watchdog is served by
+    its replica's own server instead.
     """
-    from .dash import render_dash  # local import: dash pulls in no extras
+    from repro.service.aserver import start_async_server
 
-    class Handler(BaseHTTPRequestHandler):
-        """Routes the three watch endpoints plus the watchdog's metrics."""
-
-        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            """Dispatch one GET request."""
-            split = urlsplit(self.path)
-            params = dict(parse_qsl(split.query))
-            try:
-                if split.path == "/v1/watch/status":
-                    self._send_json(200, watchdog.status())
-                elif split.path == "/v1/watch/query":
-                    self._send_json(200, watchdog.query_from_params(params))
-                elif split.path in ("/", "/v1/watch/dash"):
-                    body = render_dash(watchdog).encode("utf-8")
-                    self._send(200, body, "text/html; charset=utf-8")
-                elif split.path == "/v1/metrics":
-                    from .metrics import render_prometheus
-
-                    body = render_prometheus(watchdog.registry).encode("utf-8")
-                    self._send(200, body, "text/plain; version=0.0.4")
-                else:
-                    self._send_json(404, {"error": "not found"})
-            except ValueError as exc:
-                self._send_json(400, {"error": str(exc)})
-            except Exception as exc:  # keep the server alive
-                self._send_json(
-                    500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-
-        def _send_json(self, status: int, payload: Any) -> None:
-            """Write one JSON response."""
-            self._send(
-                status,
-                json.dumps(payload).encode("utf-8"),
-                "application/json",
-            )
-
-        def _send(self, status: int, body: bytes, content_type: str) -> None:
-            """Write one response with explicit content type."""
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, fmt: str, *args: Any) -> None:
-            """Suppress per-request stderr lines unless verbose."""
-            if not quiet:
-                BaseHTTPRequestHandler.log_message(self, fmt, *args)
-
-    server = ThreadingHTTPServer((host, port), Handler)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-watch-http", daemon=True
+    handle, _thread = start_async_server(
+        host=host,
+        port=port,
+        quiet=quiet,
+        watchdog=watchdog,
+        registry=watchdog.registry,
     )
-    thread.start()
-    return server
+    return handle

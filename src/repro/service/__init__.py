@@ -24,13 +24,12 @@ that purity to turn the batch reproduction into a queryable system:
 * :mod:`repro.service.solve` — the JSON game-solving dispatch shared by
   the server and any embedding caller.
 
-With a :class:`repro.cluster.coordinator.ClusterCoordinator` attached
-(``python -m repro.cluster coordinator``) — or a replicated
-:class:`repro.cluster.replica.Replica` (``python -m repro.cluster
-replica``) — the same server also speaks the compute-fabric protocol:
-worker registration, work-unit leases, quorum-voted completions, and
-(replicas only) the ``/v1/raft/*`` consensus channel (see
-:mod:`repro.cluster`).
+With a :class:`repro.cluster.replica.Replica` attached — a peerless
+one (``python -m repro.cluster coordinator``) or one member of a
+replicated control plane (``python -m repro.cluster replica``) — the
+same server also speaks the compute-fabric protocol: worker
+registration, work-unit leases, quorum-voted completions, and the
+``/v1/raft/*`` consensus channel (see :mod:`repro.cluster`).
 
 ``python -m repro.service`` drives it from the shell::
 

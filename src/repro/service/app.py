@@ -43,12 +43,11 @@ work happens on the manager's worker threads and process pool.  The
 warm client read is byte-identical to what the cold computation wrote.
 The cluster endpoints (``/v1/workers``, ``/v1/lease``,
 ``/v1/complete``) forward their JSON bodies verbatim into the attached
-coordinator — a single-process
-:class:`~repro.cluster.coordinator.ClusterCoordinator` or one
-:class:`~repro.cluster.replica.Replica` of the replicated control
-plane (404 when the server runs without either).
+coordinator — a :class:`~repro.cluster.replica.Replica`, either a
+peerless single-process one or one member of the replicated control
+plane (404 when the server runs without one).
 
-With a replica attached, writes sent to a follower answer **421
+Writes sent to a follower replica answer **421
 Misdirected Request** with the best-known leader URL in the body
 (``{"error": "not the leader", "leader": ...}``);
 :class:`~repro.service.client.ServiceClient` follows the hint
@@ -351,18 +350,9 @@ class ServiceAPI:
             {"stats": coordinator.stats(), "workers": coordinator.workers()},
         )
 
-    def _replica(self):
-        """The attached *replicated* coordinator (404 otherwise)."""
-        coordinator = self._coordinator()
-        if not hasattr(coordinator, "handle_rpc"):
-            raise ApiError(
-                404, "server is running without a replicated coordinator"
-            )
-        return coordinator
-
     def _get_raft_status(self, **_ignored) -> ApiResponse:
         """This replica's consensus-level status (role/term/log/digest)."""
-        return self._json(200, self._replica().raft_status())
+        return self._json(200, self._coordinator().raft_status())
 
     def _get_metrics(self, **_ignored) -> ApiResponse:
         """This process's metrics, Prometheus text exposition format."""
@@ -437,13 +427,14 @@ class ServiceAPI:
     def _watchdog(self):
         """The serving watchdog: attached here or on the coordinator.
 
-        A replica/coordinator embeds its watchdog after construction
+        A replica embeds its watchdog after construction
         (``attach_watchdog``), so the lookup is dynamic rather than
         captured at ``ServiceAPI.__init__`` time.
         """
         watchdog = self.watchdog
-        if watchdog is None:
-            watchdog = getattr(self.manager.coordinator, "watchdog", None)
+        coordinator = self.manager.coordinator
+        if watchdog is None and coordinator is not None:
+            watchdog = coordinator.watchdog
         if watchdog is None:
             raise ApiError(404, "server is running without a watchdog")
         return watchdog
@@ -468,7 +459,7 @@ class ServiceAPI:
     def _post_raft_rpc(self, body=b"", **_ignored) -> ApiResponse:
         """One peer consensus message; the reply message rides back."""
         message = self._parse_json_body(body)
-        return self._json(200, self._replica().handle_rpc(message))
+        return self._json(200, self._coordinator().handle_rpc(message))
 
     def _post_register_worker(self, body=b"", **_ignored) -> ApiResponse:
         """Register a cluster worker; returns its assigned id.
@@ -630,16 +621,13 @@ class ServiceAPI:
     def _post_sweep(self, body=b"", **_ignored) -> ApiResponse:
         """Submit (or single-flight join) a sweep; 202 with the job id."""
         request = SweepRequest.from_json_obj(self._parse_json_body(body))
-        if request.executor == "cluster":
+        coordinator = self.manager.coordinator
+        if request.executor == "cluster" and coordinator is not None:
             # Fail fast on a follower replica (421 + leader hint) so the
             # job slot is never burned on a doomed submission.  A server
             # with no coordinator at all still accepts the job — it
             # errors out with a clear message when it runs.
-            require_leader = getattr(
-                self.manager.coordinator, "require_leader", None
-            )
-            if require_leader is not None:
-                require_leader()
+            coordinator.require_leader()
         ctx = current_context()
         job = self.manager.submit(
             request, trace_id=None if ctx is None else ctx.trace_id

@@ -49,7 +49,7 @@ class SweepRequest:
 
     ``executor`` selects where cache-miss cases compute: ``"local"``
     (the job thread / shared process pool) or ``"cluster"`` (the
-    server's :class:`~repro.cluster.coordinator.ClusterCoordinator`,
+    server's coordinator :class:`~repro.cluster.replica.Replica`,
     which leases units to registered workers); ``redundancy`` is the
     cluster's r-fold replication level with majority-quorum acceptance.
     """
@@ -223,7 +223,7 @@ class JobManager:
         evicted first, so a long-lived server's memory stays bounded no
         matter how many sweeps it has served.
     coordinator:
-        Optional :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+        Optional coordinator :class:`~repro.cluster.replica.Replica`.
         Sweeps submitted with ``executor="cluster"`` fan their cache
         misses out to its registered workers instead of computing
         locally; without one, such sweeps fail with a clear error.

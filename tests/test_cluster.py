@@ -1,6 +1,7 @@
 """Direct (no-HTTP) tests of the cluster coordinator's scheduling core.
 
-The coordinator is driven synchronously from the test thread — register,
+The coordinator is a peerless in-memory ``Replica`` (the ``peerless``
+fixture), driven synchronously from the test thread — register,
 lease, complete — while the blocking ``execute_cases`` call runs on a
 helper thread, so every quorum/strike/expiry decision happens in a
 deterministic order: content-address sharding, majority-quorum
@@ -15,10 +16,10 @@ import time
 import pytest
 
 from repro.cluster.coordinator import (
-    ClusterCoordinator,
     ClusterError,
     CoordinatorMachine,
     case_refs,
+    sweep_id_for,
     unit_digest,
 )
 from repro.cluster.worker import Worker, corrupt_rows, run_worker_thread
@@ -105,9 +106,10 @@ def drain(coordinator, worker_id, corrupt=None):
 
 
 def test_sharding_is_sorted_by_content_address_key():
-    cases = e1_cases()
-    coordinator = ClusterCoordinator(unit_size=1)
-    units = coordinator._shard(cases, 0, 1)
+    refs = case_refs(e1_cases())
+    machine = CoordinatorMachine(unit_size=1)
+    sweep_id = sweep_id_for(refs, 0, 1)
+    units = machine._shard_refs(refs, 0, 1, sweep_id)
     keys = [
         result_key(unit["cases"][0]["scenario"], unit["cases"][0]["params"], 0, 0)
         for unit in units
@@ -121,13 +123,13 @@ def test_sharding_is_sorted_by_content_address_key():
     ]
     # Sharding twice yields the same assignment, unit ids included —
     # sweep identity is a content hash, so a resubmit regenerates them.
-    again = coordinator._shard(cases, 0, 1)
+    again = machine._shard_refs(refs, 0, 1, sweep_id_for(refs, 0, 1))
     assert [u["cases"] for u in again] == [u["cases"] for u in units]
     assert [u["unit_id"] for u in again] == [u["unit_id"] for u in units]
 
 
-def test_single_worker_matches_serial_bytes():
-    coordinator = ClusterCoordinator()
+def test_single_worker_matches_serial_bytes(peerless):
+    coordinator = peerless()
     worker_id = coordinator.register_worker("solo")["worker_id"]
     holder, thread = submit_async(coordinator, e1_cases())
     assert drain(coordinator, worker_id) == 4
@@ -140,14 +142,14 @@ def test_single_worker_matches_serial_bytes():
     ]
 
 
-def test_byzantine_random_worker_outvoted_and_quarantined():
+def test_byzantine_random_worker_outvoted_and_quarantined(peerless):
     """ByzantineRandom corruption loses the 3-fold quorum and is quarantined.
 
     Driven in a fixed order: the Byzantine worker votes first on the
     first unit (seed 0's first roll corrupts deterministically), then
     two honest workers supply the majority.
     """
-    coordinator = ClusterCoordinator(redundancy=3, quarantine_after=1)
+    coordinator = peerless(redundancy=3, quarantine_after=1)
     byz = coordinator.register_worker("byz")["worker_id"]
     h1 = coordinator.register_worker("h1")["worker_id"]
     h2 = coordinator.register_worker("h2")["worker_id"]
@@ -194,8 +196,8 @@ def test_byzantine_random_worker_outvoted_and_quarantined():
     ]
 
 
-def test_quarantined_worker_votes_are_ignored():
-    coordinator = ClusterCoordinator(redundancy=3, quarantine_after=1)
+def test_quarantined_worker_votes_are_ignored(peerless):
+    coordinator = peerless(redundancy=3, quarantine_after=1)
     byz = coordinator.register_worker("byz")["worker_id"]
     h1 = coordinator.register_worker("h1")["worker_id"]
     h2 = coordinator.register_worker("h2")["worker_id"]
@@ -230,8 +232,8 @@ def test_quarantined_worker_votes_are_ignored():
     assert len(holder["results"]) == 2
 
 
-def test_lease_expiry_reassigns_crashed_workers_unit():
-    coordinator = ClusterCoordinator(lease_ttl=0.15)
+def test_lease_expiry_reassigns_crashed_workers_unit(peerless):
+    coordinator = peerless(lease_ttl=0.15)
     dead = coordinator.register_worker("dead")["worker_id"]
     live = coordinator.register_worker("live")["worker_id"]
     holder, thread = submit_async(coordinator, e1_cases())
@@ -256,8 +258,8 @@ def test_lease_expiry_reassigns_crashed_workers_unit():
     ]
 
 
-def test_stale_completion_after_acceptance_is_verified():
-    coordinator = ClusterCoordinator(lease_ttl=0.1, quarantine_after=2)
+def test_stale_completion_after_acceptance_is_verified(peerless):
+    coordinator = peerless(lease_ttl=0.1, quarantine_after=2)
     slow = coordinator.register_worker("slow")["worker_id"]
     fast = coordinator.register_worker("fast")["worker_id"]
     holder, thread = submit_async(coordinator, e1_cases()[:2])
@@ -284,9 +286,9 @@ def test_stale_completion_after_acceptance_is_verified():
     assert "error" not in holder
 
 
-def test_no_quorum_among_max_votes_fails_the_sweep():
+def test_no_quorum_among_max_votes_fails_the_sweep(peerless):
     """Seven pairwise-disagreeing voters exhaust max_votes: sweep fails loudly."""
-    coordinator = ClusterCoordinator(quarantine_after=99)
+    coordinator = peerless(quarantine_after=99)
     workers = [
         coordinator.register_worker(f"b{i}")["worker_id"] for i in range(7)
     ]
@@ -305,16 +307,16 @@ def test_no_quorum_among_max_votes_fails_the_sweep():
     assert coordinator.stats()["units_failed"] == 1
 
 
-def test_execute_cases_timeout_raises():
-    coordinator = ClusterCoordinator()
+def test_execute_cases_timeout_raises(peerless):
+    coordinator = peerless()
     with pytest.raises(ClusterError, match="timed out"):
         coordinator.execute_cases(e1_cases(), timeout=0.2)
 
 
-def test_units_accepted_before_a_timeout_stay_durable(tmp_path):
+def test_units_accepted_before_a_timeout_stay_durable(tmp_path, peerless):
     """A timed-out sweep still flushes its quorum-accepted units."""
     store = ResultStore(str(tmp_path / "cache"))
-    coordinator = ClusterCoordinator(store=store)
+    coordinator = peerless(store=store)
     worker_id = coordinator.register_worker("slowpoke")["worker_id"]
     holder, thread = submit_async(
         coordinator, e1_cases()[:2], timeout=0.6
@@ -333,8 +335,8 @@ def test_units_accepted_before_a_timeout_stay_durable(tmp_path):
     assert store.get(key) is not None
 
 
-def test_unknown_ids_raise_key_errors():
-    coordinator = ClusterCoordinator()
+def test_unknown_ids_raise_key_errors(peerless):
+    coordinator = peerless()
     with pytest.raises(KeyError, match="unknown worker"):
         coordinator.lease("w999")
     worker_id = coordinator.register_worker()["worker_id"]
@@ -347,10 +349,10 @@ def test_corrupt_rows_is_identity_for_honest_workers():
     assert corrupt_rows(NoFaultAdversary(), 0, rows) == rows
 
 
-def test_runner_executor_plugin_and_store_short_circuit(tmp_path):
+def test_runner_executor_plugin_and_store_short_circuit(tmp_path, peerless):
     """run_experiments(executor=coordinator) + store: warm runs skip the fabric."""
     store = ResultStore(str(tmp_path / "cache"))
-    coordinator = ClusterCoordinator(store=store)
+    coordinator = peerless(store=store)
     stop = threading.Event()
     worker, thread = run_worker_thread(coordinator, name="w", stop=stop)
     try:
@@ -380,8 +382,8 @@ def test_runner_executor_plugin_and_store_short_circuit(tmp_path):
         thread.join(timeout=5)
 
 
-def test_worker_thread_with_in_process_transport_matches_serial():
-    coordinator = ClusterCoordinator(redundancy=1)
+def test_worker_thread_with_in_process_transport_matches_serial(peerless):
+    coordinator = peerless(redundancy=1)
     stop = threading.Event()
     workers = [
         run_worker_thread(coordinator, name=f"w{i}", stop=stop)
@@ -469,14 +471,14 @@ def test_worker_reregisters_once_on_unknown_worker_then_stops():
         assert summary["worker_id"] == "w1"  # identity preserved across both
 
 
-def test_worker_reregistration_recovers_a_restarted_coordinator():
+def test_worker_reregistration_recovers_a_restarted_coordinator(peerless):
     """A coordinator that lost its registry is rejoined under the same id."""
-    coordinator = ClusterCoordinator()
+    coordinator = peerless()
     worker = Worker(coordinator, name="phoenix", poll=0.01)
     worker.register()
     original_id = worker.worker_id
     # Simulate a restart that wiped the worker registry.
-    fresh = ClusterCoordinator()
+    fresh = peerless()
     worker.transport = fresh
     summary = worker.run(idle_timeout=0.05)
     assert summary["last_error"] is None
@@ -486,8 +488,8 @@ def test_worker_reregistration_recovers_a_restarted_coordinator():
     )
 
 
-def test_worker_fails_loudly_on_unknown_scenario():
-    coordinator = ClusterCoordinator()
+def test_worker_fails_loudly_on_unknown_scenario(peerless):
+    coordinator = peerless()
     worker = Worker(coordinator, name="stale-code")
     worker.register()
     unit = {
@@ -507,8 +509,8 @@ def test_worker_fails_loudly_on_unknown_scenario():
         worker.run_unit(unit)
 
 
-def test_worker_summary_and_register_roundtrip():
-    coordinator = ClusterCoordinator()
+def test_worker_summary_and_register_roundtrip(peerless):
+    coordinator = peerless()
     worker = Worker(coordinator, name="summary")
     assert worker.register().startswith("w")
     summary = worker.run(max_units=0)
@@ -681,9 +683,9 @@ class _SpanCountingTransport:
         self.batches.append(list(spans))
 
 
-def test_worker_batches_span_pushes_without_losing_any():
+def test_worker_batches_span_pushes_without_losing_any(peerless):
     """A busy worker ships its spans when idle, not once per unit."""
-    coordinator = ClusterCoordinator()
+    coordinator = peerless()
     transport = _SpanCountingTransport(coordinator)
     stop = threading.Event()
     worker, thread = run_worker_thread(transport, name="w", stop=stop)
@@ -710,12 +712,12 @@ def test_worker_batches_span_pushes_without_losing_any():
     assert len(transport.batches) <= 2
 
 
-def test_worker_pushes_spans_before_its_buffer_wraps(monkeypatch):
+def test_worker_pushes_spans_before_its_buffer_wraps(monkeypatch, peerless):
     """A full span buffer is shipped before a further span could evict one."""
     import repro.cluster.worker as worker_module
 
     monkeypatch.setattr(worker_module, "_SPAN_CAPACITY", 4)
-    coordinator = ClusterCoordinator()
+    coordinator = peerless()
     transport = _SpanCountingTransport(coordinator)
     worker = Worker(transport, name="w", poll=0.01)
 
@@ -730,3 +732,30 @@ def test_worker_pushes_spans_before_its_buffer_wraps(monkeypatch):
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert [len(batch) for batch in transport.batches] == [4, 4, 4]
+
+
+# -- the single-process coordinator: a peerless replica -------------------
+
+
+def test_peerless_replica_leads_when_start_returns(peerless):
+    coordinator = peerless()
+    status = coordinator.raft_status()
+    assert status["role"] == "leader"
+    assert status["leader"] == "local"
+    assert status["peers"] == []
+    # Serves writes at once: no election timeout to wait out.
+    assert coordinator.register_worker("w")["worker_id"] == "w1"
+
+
+def test_peerless_replica_compacts_its_memory_log(peerless):
+    """The in-memory log stays bounded by ``snapshot_interval``."""
+    coordinator = peerless(snapshot_interval=8)
+    bare = CoordinatorMachine()
+    for i in range(40):
+        command = {"op": "register", "name": f"w{i}", "now": float(i)}
+        coordinator.submit_command(dict(command))
+        bare.apply(command)
+    status = coordinator.raft_status()
+    assert status["base_index"] > 0
+    assert status["last_log_index"] - status["base_index"] < 8
+    assert status["state_digest"] == bare.state_digest()

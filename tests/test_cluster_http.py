@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import run_worker_thread
 from repro.dist.faults import ByzantineRandomAdversary, CrashAdversary
 from repro.experiments.runner import run_experiments
@@ -26,7 +25,7 @@ E1 = "coordination_robustness"
 
 
 @pytest.fixture
-def cluster(tmp_path):
+def cluster(tmp_path, peerless):
     """Factory for a live cluster server; tears everything down after."""
     servers = []
     stop = threading.Event()
@@ -38,7 +37,7 @@ def cluster(tmp_path):
             if server_store == "server"
             else None
         )
-        coordinator = ClusterCoordinator(store=store, **coordinator_kwargs)
+        coordinator = peerless(store=store, **coordinator_kwargs)
         server, _thread = start_async_server(
             store=store, coordinator=coordinator
         )
@@ -198,11 +197,11 @@ def test_worker_local_store_serves_warm_keys(cluster, tmp_path):
     assert worker_store.misses == misses
 
 
-def test_cluster_job_deadline_frees_the_job_slot(tmp_path):
+def test_cluster_job_deadline_frees_the_job_slot(tmp_path, peerless):
     """A sweep whose quorum can never form errors out instead of wedging."""
     from repro.service.jobs import JobManager
 
-    coordinator = ClusterCoordinator(redundancy=3)
+    coordinator = peerless(redundancy=3)
     manager = JobManager(coordinator=coordinator, cluster_timeout=0.4)
     server, _thread = start_async_server(manager=manager)
     try:

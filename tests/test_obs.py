@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.cluster.coordinator import ClusterCoordinator, unit_digest
+from repro.cluster.coordinator import unit_digest
 from repro.cluster.worker import corrupt_rows, run_worker_thread
 from repro.dist.faults import ByzantineRandomAdversary
 from repro.obs.logs import log_event, recent_events, set_log_quiet
@@ -217,10 +217,10 @@ def test_structured_log_ring_and_filters():
 
 
 @pytest.fixture
-def live_server(tmp_path):
-    """One async server over a ClusterCoordinator, plus teardown."""
+def live_server(tmp_path, peerless):
+    """One async server over a peerless coordinator, plus teardown."""
     store = ResultStore(str(tmp_path / "store"))
-    coordinator = ClusterCoordinator(store=store)
+    coordinator = peerless(store=store)
     server, _thread = start_async_server(store=store, coordinator=coordinator)
     host, port = server.server_address[:2]
     stop = threading.Event()
@@ -348,8 +348,8 @@ def test_client_stats_snapshot(live_server):
 # -- quarantine reason codes -------------------------------------------
 
 
-def test_outvoted_strike_carries_lost_quorum_reason():
-    coordinator = ClusterCoordinator(redundancy=3, quarantine_after=1)
+def test_outvoted_strike_carries_lost_quorum_reason(peerless):
+    coordinator = peerless(redundancy=3, quarantine_after=1)
     byz = coordinator.register_worker("byz")["worker_id"]
     h1 = coordinator.register_worker("h1")["worker_id"]
     h2 = coordinator.register_worker("h2")["worker_id"]
@@ -373,8 +373,8 @@ def test_outvoted_strike_carries_lost_quorum_reason():
     assert "error" not in holder
 
 
-def test_stale_contradicting_vote_carries_stale_vote_reason():
-    coordinator = ClusterCoordinator(
+def test_stale_contradicting_vote_carries_stale_vote_reason(peerless):
+    coordinator = peerless(
         quarantine_after=99, lease_ttl=0.1
     )
     slow = coordinator.register_worker("slow")["worker_id"]
@@ -397,8 +397,8 @@ def test_stale_contradicting_vote_carries_stale_vote_reason():
     assert "error" not in holder
 
 
-def test_colluding_quorum_on_invalid_payload_carries_contradiction():
-    coordinator = ClusterCoordinator(redundancy=3, quarantine_after=1)
+def test_colluding_quorum_on_invalid_payload_carries_contradiction(peerless):
+    coordinator = peerless(redundancy=3, quarantine_after=1)
     a = coordinator.register_worker("a")["worker_id"]
     b = coordinator.register_worker("b")["worker_id"]
     holder, thread = submit_async(
@@ -494,5 +494,23 @@ def test_election_counter_increments_exactly_once_per_leader_kill(tmp_path):
             assert (
                 _counter_value(registry, "repro_log_fsync_seconds_count") >= 1
             )
+    finally:
+        fabric.teardown()
+
+
+def test_follower_exports_the_scheduler_gauges(tmp_path):
+    """Every replica, not only the leader, renders ``repro_cluster_*``."""
+    fabric = ObsFabric(tmp_path, n=3, **{"fsync": False})
+    try:
+        leader = fabric.wait_leader()
+        index = next(
+            i for i, r in enumerate(fabric.replicas) if r is not leader
+        )
+        follower, registry = fabric.replicas[index], fabric.registries[index]
+        assert _gauge_value(registry, "repro_cluster_open_units") == 0
+        leader.register_worker("w")
+        # The gauge reads the follower's own applied state.
+        wait_until(lambda: len(follower.workers()) == 1)
+        assert _gauge_value(registry, "repro_cluster_workers") == 1
     finally:
         fabric.teardown()
