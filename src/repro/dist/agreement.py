@@ -48,12 +48,15 @@ __all__ = [
     "AgreementOutcome",
     "EIGNode",
     "MediatorNode",
+    "PROTOCOL_RUNNERS",
     "PhaseKingNode",
     "check_agreement",
+    "flip_payload",
     "run_eig_agreement",
     "run_mediator_agreement",
     "run_phase_king_agreement",
     "search_for_disagreement",
+    "two_faced",
     "two_faced_script",
 ]
 
@@ -527,43 +530,62 @@ def run_mediator_agreement(
 # ----------------------------------------------------------------------
 
 
+def flip_payload(value: Any) -> Any:
+    """Flip every decision bit in a payload, recursing into structure.
+
+    Ints in ``{0, 1}`` flip; bools and everything else pass through;
+    dicts, tuples and lists recurse (EIG trees, phase-king votes).
+    """
+    if isinstance(value, dict):
+        return {key: flip_payload(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(flip_payload(item) for item in value)
+    if isinstance(value, list):
+        return [flip_payload(item) for item in value]
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int) and value in (0, 1):
+        return 1 - value
+    return value
+
+
+def two_faced(
+    outbox: Sequence[Message], targets: Iterable[int]
+) -> List[Message]:
+    """``outbox`` with every decision bit flipped in messages to ``targets``.
+
+    One round of the two-faced attack; :func:`two_faced_script` applies
+    it every round, and the model checker's ``flip`` action applies it
+    once.
+    """
+    flip_for = frozenset(targets)
+    return [
+        dataclass_replace(message, payload=flip_payload(message.payload))
+        if message.recipient in flip_for
+        else message
+        for message in outbox
+    ]
+
+
 def two_faced_script(flip_for: Iterable[int]):
     """The canonical ``t >= n/3`` attack: tell two halves two stories.
 
     Returns a :class:`ScriptedAdversary` script under which the faulty
     node sends its honest messages to most recipients but flips every
-    decision bit in messages to the nodes in ``flip_for`` — splitting
-    the honest players into two worlds that each look internally
-    consistent.  Flipping recurses into structured payloads (EIG trees,
-    tuples), leaving non-bit data untouched.
+    decision bit in messages to the nodes in ``flip_for``
+    (:func:`two_faced`) — splitting the honest players into two worlds
+    that each look internally consistent.
     """
     targets = frozenset(flip_for)
 
-    def flip(value: Any) -> Any:
-        if isinstance(value, dict):
-            return {key: flip(item) for key, item in value.items()}
-        if isinstance(value, tuple):
-            return tuple(flip(item) for item in value)
-        if isinstance(value, list):
-            return [flip(item) for item in value]
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, int) and value in (0, 1):
-            return 1 - value
-        return value
-
     def script(node_id, round_number, honest_outbox, n_nodes):
-        return [
-            dataclass_replace(message, payload=flip(message.payload))
-            if message.recipient in targets
-            else message
-            for message in honest_outbox
-        ]
+        return two_faced(honest_outbox, targets)
 
     return script
 
 
-_PROTOCOLS = {
+#: Each agreement protocol's standard entry point, by name.
+PROTOCOL_RUNNERS = {
     "eig": run_eig_agreement,
     "phase_king": run_phase_king_agreement,
 }
@@ -588,12 +610,13 @@ def search_for_disagreement(
     ``n <= 3t``: this is Pease–Shostak–Lamport impossibility run as a
     program.
     """
-    if protocol not in _PROTOCOLS:
+    if protocol not in PROTOCOL_RUNNERS:
         raise ValueError(
-            f"unknown protocol {protocol!r}; choose from {sorted(_PROTOCOLS)}"
+            f"unknown protocol {protocol!r}; "
+            f"choose from {sorted(PROTOCOL_RUNNERS)}"
         )
     _validate_params(n, t)
-    runner = _PROTOCOLS[protocol]
+    runner = PROTOCOL_RUNNERS[protocol]
     faulty_sets: List[frozenset] = []
     if t > 0:
         faulty_sets.append(frozenset(range(n - t, n)))

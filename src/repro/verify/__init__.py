@@ -6,8 +6,13 @@ model checker: every schedule of at most ``bound`` corruption events
 (two-faced flips, omissions, crash times with partial reach) from a
 finite alphabet, over every faulty coalition in the requested family,
 checked against the Byzantine agreement invariants — with hash-consed
-state deduplication in NumPy digest arrays and *minimal, replayable*
-counterexample traces that re-execute through the unmodified simulator.
+state deduplication and *minimal, replayable* counterexample traces
+that re-execute through the unmodified simulator.
+
+Every checker here is a model on one search kernel
+(:mod:`repro.verify.kernel`): one breadth-first search with budget
+dominance, one greedy trace shrinker, and one verdict type,
+:class:`~repro.verify.kernel.CheckResult`.
 
 Quickstart::
 
@@ -32,7 +37,8 @@ election safety and commit durability::
     assert result.ok
 
 CLI: ``python -m repro.verify --protocol phase_king --n 4 --t 1 --bound 4``
-or ``--protocol replica --replicas 3 --crashes 1``.
+or ``--protocol replica --replicas 3 --crashes 1`` (exit 0 pass, 1
+violation, 2 bad arguments, 3 state cap hit with nothing found).
 See ``docs/verify.md`` for what a bound means and how to read a trace.
 """
 
@@ -41,13 +47,11 @@ from repro.verify.consensus import (
     CONSENSUS_INVARIANTS,
     ELECTION_SAFETY,
     ConsensusAction,
-    ConsensusResult,
     ConsensusTrace,
     check_consensus,
 )
 from repro.verify.explorer import (
     ModelConfig,
-    VerificationResult,
     check_model,
     coalition_family,
     model_horizon,
@@ -62,13 +66,12 @@ from repro.verify.invariants import (
     first_violation,
     get_invariant,
 )
+from repro.verify.kernel import CheckResult
 from repro.verify.states import (
     CorruptionAction,
     CorruptionAlphabet,
-    DigestStore,
     apply_action,
     canonical_bytes,
-    flip_payload,
     network_digest,
 )
 from repro.verify.traces import (
@@ -85,25 +88,22 @@ __all__ = [
     "ELECTION_SAFETY",
     "TERMINATION",
     "VALIDITY",
+    "CheckResult",
     "ConsensusAction",
-    "ConsensusResult",
     "ConsensusTrace",
     "CorruptionAction",
     "CorruptionAlphabet",
     "CorruptionEvent",
     "CounterexampleTrace",
-    "DigestStore",
     "Invariant",
     "InvariantContext",
     "ModelConfig",
-    "VerificationResult",
     "apply_action",
     "canonical_bytes",
     "check_consensus",
     "check_model",
     "coalition_family",
     "first_violation",
-    "flip_payload",
     "get_invariant",
     "model_horizon",
     "network_digest",

@@ -17,11 +17,13 @@ simulator (exit 0 iff the recorded violation reproduces)::
 
     python -m repro.verify --replay disagreement.json
 
-Exit codes: ``0`` — checked and passed (or replay reproduced); ``1`` —
-a violation was found (or a replay failed to reproduce); ``2`` — bad
-arguments.  A found violation prints the minimal trace (and writes it
-to ``--trace-out`` when given) so the exact execution can be shared,
-diffed, and re-run.
+Exit codes: ``0`` — checked exhaustively and passed (or replay
+reproduced); ``1`` — a violation was found (or a replay failed to
+reproduce); ``2`` — bad arguments (including bounds that would make the
+check vacuous); ``3`` — the state cap was hit before the search ended
+and no violation was found, so the PASS is not exhaustive.  A found
+violation prints the minimal trace (and writes it to ``--trace-out``
+when given) so the exact execution can be shared, diffed, and re-run.
 """
 
 from __future__ import annotations
@@ -161,32 +163,14 @@ def _parse_coalitions(raw: str):
 
 def _replay(path: str, quiet: bool) -> int:
     with open(path, encoding="utf-8") as handle:
-        protocol = json.load(handle).get("protocol")
-    if protocol == "replica":
-        return _replay_consensus(path, quiet)
-    trace = CounterexampleTrace.load(path)
-    outcome = trace.replay()
-    reproduced = trace.replay_violates(outcome)
+        obj = json.load(handle)
+    if obj.get("protocol") == "replica":
+        trace = ConsensusTrace.from_json_obj(obj)
+    else:
+        trace = CounterexampleTrace.from_json_obj(obj)
     if not quiet:
         print(trace.describe())
-        print(
-            f"replayed via {type(trace.to_adversary()).__name__}: "
-            f"outputs={outcome.outputs} agreement={outcome.agreement} "
-            f"validity={outcome.validity}"
-        )
-    if reproduced:
-        print(f"replay reproduces the {trace.invariant!r} violation")
-        return 0
-    print(f"replay does NOT reproduce the {trace.invariant!r} violation")
-    return 1
-
-
-def _replay_consensus(path: str, quiet: bool) -> int:
-    trace = ConsensusTrace.load(path)
-    violation, _state = trace.replay()
-    if not quiet:
-        print(trace.describe())
-    if violation is not None and violation[0] == trace.invariant:
+    if trace.replay_violates():
         print(f"replay reproduces the {trace.invariant!r} violation")
         return 0
     print(f"replay does NOT reproduce the {trace.invariant!r} violation")
@@ -250,6 +234,12 @@ def _report(result, args) -> int:
         replay = "reproduces" if trace.replay_violates() else "DIVERGES"
         print(f"replay through the unmodified implementation: {replay}")
         return 1
+    if result.truncated:
+        print(
+            "state cap hit before the search ended: the PASS is not "
+            "exhaustive (raise --max-states)"
+        )
+        return 3
     return 0
 
 

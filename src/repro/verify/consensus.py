@@ -10,9 +10,10 @@ entries), mirroring what a real ``SIGKILL`` preserves on disk.
 
 The checker enumerates every interleaving of a small action alphabet —
 election timeouts, message deliveries, leader heartbeats, client
-appends, crashes and restarts — up to a depth bound, deduplicating
-states by canonical-JSON sha256, and checks two safety invariants in
-every reached state:
+appends, crashes and restarts — up to a depth bound, as a model on
+:func:`repro.verify.kernel.search` with states deduplicated by
+canonical-JSON sha256, and checks two safety invariants in every
+reached state:
 
 * ``election_safety`` — no term ever elects two leaders (tracked as
   history: once two distinct nodes have *ever* led the same term, the
@@ -22,7 +23,8 @@ every reached state:
   may later commit a different entry there, and no leader may hold a
   log that contradicts or misses it.
 
-Violations come back as a 1-minimized, replayable
+Violations come back as a 1-minimized
+(:func:`repro.verify.kernel.shrink`), replayable
 :class:`ConsensusTrace` — the exact action list re-executes through
 fresh cores (:meth:`ConsensusTrace.replay`) and must reproduce the
 violation, so a reported bug is never an artifact of the search.
@@ -53,19 +55,27 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
-from repro.cluster.log import LogEntry
 from repro.cluster.replica import MemoryLog, RaftCore
+from repro.verify.kernel import CheckResult, Successor, TraceFile, search
+from repro.verify.kernel import shrink as kernel_shrink
 
 __all__ = [
     "COMMIT_SAFETY",
     "CONSENSUS_INVARIANTS",
     "ELECTION_SAFETY",
     "ConsensusAction",
-    "ConsensusResult",
     "ConsensusTrace",
     "check_consensus",
 ]
@@ -77,9 +87,11 @@ CONSENSUS_INVARIANTS: Tuple[str, ...] = (ELECTION_SAFETY, COMMIT_SAFETY)
 CoreFactory = Callable[[str, List[str], Any], Any]
 
 
-def _canonical(obj: Any) -> str:
-    """Canonical JSON (sorted keys, compact) — the dedup currency."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# Canonical JSON (sorted keys, compact) — the dedup currency.  One
+# shared encoder: ``json.dumps`` with these options builds a new
+# encoder on every call, and the checker encodes every in-flight
+# message of every explored state.
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass(frozen=True)
@@ -134,7 +146,8 @@ class _ModelState:
     The two safety monitors (``leaders_by_term``, ``committed``) are
     *history* accumulated along the path; they ride inside the dedup
     digest so two worlds with identical node state but different
-    obligations are never conflated.
+    obligations are never conflated.  ``path`` is the action list that
+    reached this world (the checker sets it; replay ignores it).
     """
 
     def __init__(self, replicas: int, core_factory: CoreFactory) -> None:
@@ -151,6 +164,7 @@ class _ModelState:
         self.leaders_by_term: Dict[int, set] = {}
         # index -> (entry term, lowest term any observer committed it in)
         self.committed: Dict[int, Tuple[int, int]] = {}
+        self.path: Tuple[ConsensusAction, ...] = ()
 
     def clone(self) -> "_ModelState":
         """An independent copy (the checker forks before each action)."""
@@ -178,6 +192,7 @@ class _ModelState:
             term: set(nodes) for term, nodes in self.leaders_by_term.items()
         }
         other.committed = dict(self.committed)
+        other.path = self.path
         return other
 
     def digest(self) -> bytes:
@@ -380,7 +395,7 @@ class _ModelState:
 
 
 @dataclass(frozen=True)
-class ConsensusTrace:
+class ConsensusTrace(TraceFile):
     """A minimal, replayable witness of a consensus-safety violation.
 
     ``actions`` is the exact scheduler play from the initial state;
@@ -397,6 +412,11 @@ class ConsensusTrace:
     invariant: str
     detail: str
     actions: Tuple[ConsensusAction, ...]
+
+    @property
+    def steps(self) -> Tuple[ConsensusAction, ...]:
+        """The trace's steps: its scheduler actions."""
+        return self.actions
 
     def replay(
         self, core_factory: CoreFactory = RaftCore
@@ -463,108 +483,6 @@ class ConsensusTrace:
             ),
         )
 
-    def save(self, path: str) -> None:
-        """Write the trace as pretty-printed JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_obj(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "ConsensusTrace":
-        """Read a trace saved by :meth:`save`."""
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_json_obj(json.load(handle))
-
-
-def shrink_consensus_trace(
-    trace: ConsensusTrace, core_factory: CoreFactory = RaftCore
-) -> ConsensusTrace:
-    """Greedy deletion to a 1-minimal trace (same idea as dist traces).
-
-    Repeatedly tries dropping each action; a deletion sticks whenever
-    the replayed execution still violates the same invariant.  The
-    no-op tolerance of :meth:`_ModelState.apply` keeps every candidate
-    well-defined.
-    """
-    actions = list(trace.actions)
-    current = trace
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(actions)):
-            candidate = replace(
-                current,
-                actions=tuple(actions[:index] + actions[index + 1 :]),
-            )
-            violation, _state = candidate.replay(core_factory)
-            if violation is not None and violation[0] == trace.invariant:
-                current = replace(candidate, detail=violation[1])
-                actions = list(candidate.actions)
-                changed = True
-                break
-    return current
-
-
-@dataclass(frozen=True)
-class ConsensusResult:
-    """The consensus checker's verdict plus exploration statistics.
-
-    ``ok`` means every reachable state within the bounds satisfied both
-    invariants; on failure ``counterexample`` holds the shrunk,
-    replay-verified trace.  ``truncated`` flags a hit state cap — the
-    verdict is then a bounded search, not an exhaustive one.
-    """
-
-    ok: bool
-    replicas: int
-    crashes: int
-    appends: int
-    depth: int
-    invariants: Tuple[str, ...] = CONSENSUS_INVARIANTS
-    states_explored: int = 0
-    transitions: int = 0
-    elapsed_s: float = 0.0
-    counterexample: Optional[ConsensusTrace] = None
-    truncated: bool = False
-
-    def summary(self) -> str:
-        """One-line verdict, e.g. for the CLI and CI logs."""
-        verdict = "PASS" if self.ok else "FAIL"
-        tail = ""
-        if self.counterexample is not None:
-            tail = (
-                f" — {self.counterexample.invariant} violated with "
-                f"{len(self.counterexample.actions)} action(s)"
-            )
-        if self.truncated:
-            tail += " [truncated: state cap hit]"
-        return (
-            f"{verdict} replica n={self.replicas} "
-            f"crashes<={self.crashes} appends<={self.appends} "
-            f"depth<={self.depth}: {self.states_explored} states, "
-            f"{self.transitions} transitions, "
-            f"{self.elapsed_s * 1000.0:.1f} ms{tail}"
-        )
-
-    def to_json_obj(self) -> Dict[str, Any]:
-        """Plain-JSON form of the verdict and statistics."""
-        obj: Dict[str, Any] = {
-            "ok": self.ok,
-            "protocol": "replica",
-            "replicas": self.replicas,
-            "crashes": self.crashes,
-            "appends": self.appends,
-            "depth": self.depth,
-            "invariants": list(self.invariants),
-            "states_explored": self.states_explored,
-            "transitions": self.transitions,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "truncated": self.truncated,
-        }
-        if self.counterexample is not None:
-            obj["counterexample"] = self.counterexample.to_json_obj()
-        return obj
-
 
 def check_consensus(
     replicas: int = 3,
@@ -574,16 +492,17 @@ def check_consensus(
     max_states: int = 200_000,
     core_factory: CoreFactory = RaftCore,
     shrink: bool = True,
-) -> ConsensusResult:
+) -> CheckResult:
     """Exhaustive BFS over the bounded consensus state space.
 
     Explores every interleaving of at most ``depth`` actions (with at
     most ``crashes`` crash events and ``appends`` client commands) of a
     ``replicas``-node cluster, deduplicating by state digest, checking
-    both safety invariants in every state.  BFS order means the first
-    violation found is also a *shortest* one; it is then 1-minimized
-    (unless ``shrink=False``) and replay-verified before being
-    reported.
+    both safety invariants in every state and admitting at most
+    ``max_states`` states.  BFS order means the first violation found
+    is also a *shortest* one; it is then 1-minimized (unless
+    ``shrink=False``) and replay-verified before being reported.
+    Negative bounds and ``max_states < 1`` raise ``ValueError``.
 
     ``core_factory`` swaps the consensus implementation under test —
     the checker's own tests hand it deliberately broken
@@ -592,18 +511,26 @@ def check_consensus(
     teeth, not just that the code is quiet.
     """
     if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    bounds = {
+        "replicas": replicas,
+        "crashes": crashes,
+        "appends": appends,
+        "depth": depth,
+    }
+    for name in ("crashes", "appends", "depth"):
+        value = bounds[name]
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     started = time.perf_counter()
-    initial = _ModelState(replicas, core_factory)
-    states_explored = 1
-    transitions = 0
-    truncated = False
 
-    def fail(
-        violation: Tuple[str, str], actions: Tuple[ConsensusAction, ...]
-    ) -> ConsensusResult:
-        """Package a violation as a shrunk, replay-verified FAIL result."""
-        trace = ConsensusTrace(
+    def witness(
+        state: _ModelState, violation: Optional[Tuple[str, str]]
+    ) -> Optional[ConsensusTrace]:
+        """The trace of the path to ``state``, if it violates."""
+        if violation is None:
+            return None
+        return ConsensusTrace(
             protocol="replica",
             replicas=replicas,
             crashes=crashes,
@@ -611,58 +538,61 @@ def check_consensus(
             depth=depth,
             invariant=violation[0],
             detail=violation[1],
-            actions=actions,
-        )
-        if shrink:
-            trace = shrink_consensus_trace(trace, core_factory)
-        assert trace.replay_violates(core_factory)
-        return ConsensusResult(
-            ok=False,
-            replicas=replicas,
-            crashes=crashes,
-            appends=appends,
-            depth=depth,
-            states_explored=states_explored,
-            transitions=transitions,
-            elapsed_s=time.perf_counter() - started,
-            counterexample=trace,
-            truncated=truncated,
+            actions=state.path,
         )
 
-    violation = initial.violation()
-    if violation is not None:  # a broken core can fail at time zero
-        return fail(violation, ())
-    seen = {initial.digest()}
-    frontier: deque = deque([(initial, ())])
-    while frontier:
-        state, path = frontier.popleft()
-        if len(path) >= depth:
-            continue
+    def expand(state: _ModelState) -> Iterator[Successor]:
+        """One successor per enabled action, each already built."""
         for action in state.enabled(crashes, appends):
             child = state.clone()
             child.apply(action)
-            transitions += 1
-            child_path = path + (action,)
-            violation = child.violation()
-            if violation is not None:
-                return fail(violation, child_path)
-            key = child.digest()
-            if key in seen:
-                continue
-            if states_explored >= max_states:
-                truncated = True
-                continue
-            seen.add(key)
-            states_explored += 1
-            frontier.append((child, child_path))
-    return ConsensusResult(
-        ok=True,
-        replicas=replicas,
-        crashes=crashes,
-        appends=appends,
-        depth=depth,
-        states_explored=states_explored,
-        transitions=transitions,
+            child.path = state.path + (action,)
+            # violation() updates the monitors the digest covers.
+            found = witness(child, child.violation())
+            yield Successor(
+                child.digest(), 0, found, lambda child=child: child
+            )
+
+    def settle(state: _ModelState) -> Tuple[None, bool]:
+        """Expand until the depth bound (violations surface in expand)."""
+        return None, len(state.path) < depth
+
+    initial = _ModelState(replicas, core_factory)
+    root_violation = witness(initial, initial.violation())
+    searched = search(
+        Successor(initial.digest(), 0, root_violation, lambda: initial),
+        expand,
+        settle,
+        max_states=max_states,
+    )
+    trace = searched.violations[0] if searched.violations else None
+    if trace is not None:
+        if shrink:
+            actions = tuple(
+                kernel_shrink(
+                    trace.actions,
+                    lambda kept: replace(
+                        trace, actions=tuple(kept)
+                    ).replay_violates(core_factory),
+                )
+            )
+            trace = replace(trace, actions=actions)
+        violation, _state = trace.replay(core_factory)
+        if violation is None or violation[0] != trace.invariant:
+            raise RuntimeError(
+                "counterexample replay no longer violates "
+                f"{trace.invariant!r}:\n{trace.describe()}"
+            )
+        trace = replace(trace, detail=violation[1])
+    return CheckResult(
+        ok=trace is None,
+        protocol="replica",
+        params=bounds,
+        invariants=CONSENSUS_INVARIANTS,
+        states_explored=searched.states_explored,
+        transitions=searched.transitions,
+        terminal_states=searched.terminal_states,
         elapsed_s=time.perf_counter() - started,
-        truncated=truncated,
+        counterexample=trace,
+        truncated=searched.truncated,
     )

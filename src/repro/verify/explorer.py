@@ -9,11 +9,11 @@ every general value and every faulty coalition in the requested family.
 Invariants (:mod:`repro.verify.invariants`) are evaluated on
 ``Network.honest_outputs()`` at each terminal state.
 
-The search is breadth-first over *states*, not paths: each reached
-state is canonically hashed (:func:`~repro.verify.states.network_digest`)
-and deduplicated through a NumPy-backed
-:class:`~repro.verify.states.DigestStore` with budget dominance — a
-state revisited with no more remaining corruption budget than before is
+The search is :func:`repro.verify.kernel.search`, breadth-first over
+*states*, not paths: each reached state is canonically hashed
+(:func:`~repro.verify.states.network_digest`) and deduplicated with
+budget dominance — the remaining corruption budget is the successor's
+``budget``, so a state revisited with no more budget than before is
 pruned, because the earlier visit could already do everything this one
 can.  Exploration forks real :class:`~repro.dist.simulator.Network`
 objects via the simulator's own deterministic
@@ -39,8 +39,8 @@ prunings keep small models in the milliseconds:
 Every counterexample is compiled to a
 :class:`~repro.verify.traces.CounterexampleTrace`, re-executed through
 the **unmodified** simulator to confirm it reproduces the violation
-byte-for-byte, and 1-minimized by greedy event deletion before being
-returned.
+byte-for-byte, and 1-minimized by :func:`~repro.verify.kernel.shrink`
+before being returned.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.dist.agreement import EIGNode, PhaseKingNode
@@ -58,15 +59,16 @@ from repro.verify.invariants import (
     InvariantContext,
     first_violation,
 )
+from repro.verify.kernel import CheckResult, Successor, search
 from repro.verify.states import (
     CRASH,
     DEAD_ACTION,
     HONEST_ACTION,
     CorruptionAction,
     CorruptionAlphabet,
-    DigestStore,
     apply_action,
     inboxes_bytes,
+    network_digest,
     nodes_bytes,
     state_digest,
 )
@@ -74,31 +76,13 @@ from repro.verify.traces import CorruptionEvent, CounterexampleTrace, shrink_tra
 
 __all__ = [
     "ModelConfig",
-    "VerificationResult",
     "check_model",
     "coalition_family",
     "model_horizon",
 ]
 
 
-def _build_eig(n: int, t: int, general_value: int) -> Tuple[List[Node], int]:
-    nodes: List[Node] = [
-        EIGNode(i, n, t, general_value if i == 0 else None) for i in range(n)
-    ]
-    return nodes, t + 3
-
-
-def _build_phase_king(
-    n: int, t: int, general_value: int
-) -> Tuple[List[Node], int]:
-    nodes: List[Node] = [
-        PhaseKingNode(i, n, t, general_value if i == 0 else None)
-        for i in range(n)
-    ]
-    return nodes, 2 * t + 4
-
-
-_BUILDERS = {"eig": _build_eig, "phase_king": _build_phase_king}
+_NODE_TYPES = {"eig": EIGNode, "phase_king": PhaseKingNode}
 
 
 def model_horizon(protocol: str, t: int) -> int:
@@ -107,7 +91,7 @@ def model_horizon(protocol: str, t: int) -> int:
         return t + 3
     if protocol == "phase_king":
         return 2 * t + 4
-    known = ", ".join(sorted(_BUILDERS))
+    known = ", ".join(sorted(_NODE_TYPES))
     raise ValueError(f"unknown protocol {protocol!r}; known: {known}")
 
 
@@ -186,24 +170,6 @@ class _StateRecord:
     events: Tuple[CorruptionEvent, ...]
 
 
-@dataclass
-class _Candidate:
-    """A successor state digested but not yet materialized.
-
-    ``inboxes is None`` means the candidate *is* the stepped scout
-    network; otherwise it is the scout's fork with ``inboxes`` swapped
-    in via :meth:`Network.set_pending_inboxes` (sibling states share
-    their post-step node states and differ only in deliveries).
-    """
-
-    scout: Network
-    inboxes: Optional[List[List[Message]]]
-    crashed: Dict[int, int]
-    budget: int
-    events: Tuple[CorruptionEvent, ...]
-    digest: bytes
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """One root instance: a general value plus a faulty coalition."""
@@ -224,75 +190,13 @@ class ModelConfig:
         )
 
 
-@dataclass
-class VerificationResult:
-    """The checker's verdict plus exploration statistics.
+class _ConfigModel:
+    """One :class:`ModelConfig`'s bounded state space, as a kernel model.
 
-    ``ok`` means every terminal state of every config satisfied every
-    invariant — exhaustively, up to the bound and alphabet.  On failure
-    ``counterexample`` holds the shrunk, replay-verified trace.
+    ``forwarded`` counts the simulator rounds :meth:`settle` runs while
+    fast-forwarding choice-free states; they are transitions the kernel
+    never sees.
     """
-
-    ok: bool
-    protocol: str
-    n: int
-    t: int
-    bound: int
-    invariants: Tuple[str, ...]
-    configs: Tuple[Dict[str, Any], ...] = ()
-    states_explored: int = 0
-    transitions: int = 0
-    terminal_states: int = 0
-    elapsed_s: float = 0.0
-    counterexample: Optional[CounterexampleTrace] = None
-    truncated: bool = False
-
-    def summary(self) -> str:
-        """One-line verdict, e.g. for the CLI and scenario tables."""
-        verdict = "PASS" if self.ok else "FAIL"
-        tail = ""
-        if self.counterexample is not None:
-            tail = (
-                f" — {self.counterexample.invariant} violated with "
-                f"{len(self.counterexample.events)} corruption event(s)"
-            )
-        if self.truncated:
-            tail += " [truncated: state cap hit]"
-        return (
-            f"{verdict} {self.protocol} n={self.n} t={self.t} "
-            f"bound={self.bound}: {self.states_explored} states, "
-            f"{self.transitions} transitions, "
-            f"{self.terminal_states} terminal, "
-            f"{self.elapsed_s * 1000.0:.1f} ms{tail}"
-        )
-
-    def to_json_obj(self) -> Dict[str, Any]:
-        """Plain-JSON form of the verdict and statistics."""
-        obj: Dict[str, Any] = {
-            "ok": self.ok,
-            "protocol": self.protocol,
-            "n": self.n,
-            "t": self.t,
-            "bound": self.bound,
-            "invariants": list(self.invariants),
-            "configs": [dict(c) for c in self.configs],
-            "states_explored": self.states_explored,
-            "transitions": self.transitions,
-            "terminal_states": self.terminal_states,
-            "elapsed_s": round(self.elapsed_s, 6),
-            "truncated": self.truncated,
-        }
-        if self.counterexample is not None:
-            obj["counterexample"] = self.counterexample.to_json_obj()
-        return obj
-
-
-class _StateCapReached(Exception):
-    """Internal signal: the per-config state cap was exceeded."""
-
-
-class _ConfigExplorer:
-    """BFS over one :class:`ModelConfig`'s bounded state space."""
 
     def __init__(
         self,
@@ -300,78 +204,34 @@ class _ConfigExplorer:
         bound: int,
         invariants: Sequence[Invariant],
         alphabet: CorruptionAlphabet,
-        max_states: int,
-        stop_on_violation: bool,
     ) -> None:
         self.config = config
         self.bound = bound
         self.invariants = tuple(invariants)
-        self.alphabet = alphabet
-        self.max_states = max_states
-        self.stop_on_violation = stop_on_violation
         self.horizon = model_horizon(config.protocol, config.t)
         self.ctx = config.context()
         self.actions_by_node = {
             node: alphabet.actions_for(node, config.n, config.faulty)
             for node in sorted(config.faulty)
         }
-        self.store = DigestStore()
         self._msg_cache: Dict[Any, bytes] = {}
-        self.states = 0
-        self.transitions = 0
-        self.terminals = 0
-        self.truncated = False
-        self.violations: List[CounterexampleTrace] = []
+        self.forwarded = 0
 
-    # -- lifecycle -----------------------------------------------------
-
-    def root(self) -> _StateRecord:
-        """Build the round-0 network for this config."""
-        nodes, _ = _BUILDERS[self.config.protocol](
-            self.config.n, self.config.t, self.config.general_value
+    def root(self) -> Successor:
+        """The round-0 network for this config."""
+        config = self.config
+        node_type = _NODE_TYPES[config.protocol]
+        nodes: List[Node] = [
+            node_type(
+                i, config.n, config.t, config.general_value if i == 0 else None
+            )
+            for i in range(config.n)
+        ]
+        net = Network(nodes, _ControlledAdversary(config.faulty))
+        record = _StateRecord(net, {}, self.bound, ())
+        return Successor(
+            network_digest(net, {}), self.bound, None, lambda: record
         )
-        net = Network(nodes, _ControlledAdversary(self.config.faulty))
-        return _StateRecord(net=net, crashed={}, budget=self.bound, events=())
-
-    def run(self) -> None:
-        """Explore to the horizon (or the first violation, if cutting)."""
-        frontier = [self.root()]
-        self.states = 1
-        try:
-            for _ in range(self.horizon):
-                if not frontier:
-                    break
-                candidates: List[_Candidate] = []
-                for record in frontier:
-                    candidates.extend(self._expand(record))
-                keep = self.store.admit(
-                    [cand.digest for cand in candidates],
-                    [cand.budget for cand in candidates],
-                )
-                # Materialize every survivor before processing any: a
-                # scout that fast-forwards mutates the very network its
-                # siblings fork from.
-                admitted = [
-                    self._materialize(candidates[int(index)])
-                    for index in keep
-                ]
-                frontier = []
-                for child in admitted:
-                    self.states += 1
-                    if self.states > self.max_states:
-                        raise _StateCapReached
-                    if child.net.round_number >= self.horizon:
-                        self._check_terminal(child)
-                        if self.stop_on_violation and self.violations:
-                            return
-                    elif self._is_deterministic(child):
-                        self._fast_forward(child)
-                        if self.stop_on_violation and self.violations:
-                            return
-                    else:
-                        frontier.append(child)
-        except _StateCapReached:
-            self.truncated = True
 
     # -- expansion -----------------------------------------------------
 
@@ -395,28 +255,34 @@ class _ConfigExplorer:
                     )
         return inboxes
 
-    def _materialize(self, cand: _Candidate) -> _StateRecord:
-        """Turn an admitted candidate into a steppable frontier record."""
-        if cand.inboxes is None:
-            net = cand.scout
+    @staticmethod
+    def _materialize(
+        scout: Network,
+        inboxes: Optional[List[List[Message]]],
+        crashed: Dict[int, int],
+        budget: int,
+        events: Tuple[CorruptionEvent, ...],
+    ) -> _StateRecord:
+        """Build one successor: the scout itself, or its fork with
+        ``inboxes`` swapped in (siblings differ only in deliveries)."""
+        if inboxes is None:
+            net = scout
         else:
-            net = cand.scout.fork()
-            net.set_pending_inboxes(cand.inboxes)
+            net = scout.fork()
+            net.set_pending_inboxes(inboxes)
         return _StateRecord(
-            net=net,
-            crashed=cand.crashed,
-            budget=cand.budget,
-            events=cand.events,
+            net=net, crashed=crashed, budget=budget, events=events
         )
 
-    def _expand(self, record: _StateRecord) -> List[_Candidate]:
-        """All distinct one-round successor candidates of one state.
+    def expand(self, record: _StateRecord) -> List[Successor]:
+        """All distinct one-round successors of one state.
 
         Pays for exactly one fork + step (the *scout*, which applies
         only the forced post-crash actions while capturing every node's
         honest outbox).  Each corruption vector's successor is then
         built as pure data — corrupted outboxes re-delivered through
-        :meth:`_deliver` — and digested without touching a network.
+        :meth:`_deliver` — and digested without touching a network; its
+        ``build`` forks the scout only if the kernel admits it.
         Within-parent duplicates keep the max-budget representative.
         """
         config = self.config
@@ -434,7 +300,6 @@ class _ConfigExplorer:
         captured = adversary.captured
         adversary.capture = False
         adversary.plan = {}
-        self.transitions += 1
         node_blob = nodes_bytes(scout.nodes)
         scout_digest = state_digest(
             scout.round_number,
@@ -442,15 +307,16 @@ class _ConfigExplorer:
             inboxes_bytes(scout.pending_inboxes(), cache),
             record.crashed,
         )
-        candidates: Dict[bytes, _Candidate] = {
-            scout_digest: _Candidate(
-                scout=scout,
-                inboxes=None,
-                crashed=dict(record.crashed),
-                budget=record.budget,
-                events=record.events,
-                digest=scout_digest,
-            )
+        build = partial(
+            self._materialize,
+            scout,
+            None,
+            dict(record.crashed),
+            record.budget,
+            record.events,
+        )
+        candidates: Dict[bytes, Successor] = {
+            scout_digest: Successor(scout_digest, record.budget, None, build)
         }
         live = [
             node for node in sorted(config.faulty) if node not in record.crashed
@@ -498,17 +364,31 @@ class _ConfigExplorer:
             prior = candidates.get(digest)
             if prior is not None and prior.budget >= budget:
                 continue
-            if prior is None:
-                self.transitions += 1
-            candidates[digest] = _Candidate(
-                scout=scout,
-                inboxes=inboxes,
-                crashed=crashed,
-                budget=budget,
-                events=tuple(events),
-                digest=digest,
+            build = partial(
+                self._materialize,
+                scout,
+                inboxes,
+                crashed,
+                budget,
+                tuple(events),
             )
+            candidates[digest] = Successor(digest, budget, None, build)
         return list(candidates.values())
+
+    def settle(
+        self, record: _StateRecord
+    ) -> Tuple[Optional[CounterexampleTrace], bool]:
+        """Judge a state at the horizon; fast-forward a choice-free one.
+
+        Every other state is expanded further.  Fast-forwarding steps
+        the very network this state was built on, which is why the
+        kernel builds all of a level's siblings before settling any.
+        """
+        if record.net.round_number < self.horizon:
+            if not self._is_deterministic(record):
+                return None, True
+            self._fast_forward(record)
+        return self._check_terminal(record), False
 
     def _is_deterministic(self, record: _StateRecord) -> bool:
         """Whether no adversary choice remains from this state on."""
@@ -519,24 +399,24 @@ class _ConfigExplorer:
         )
 
     def _fast_forward(self, record: _StateRecord) -> None:
-        """Run a choice-free state straight to the horizon and check it."""
+        """Run a choice-free state straight to the horizon."""
         net = record.net
         adversary: _ControlledAdversary = net.adversary
         adversary.plan = {node: DEAD_ACTION for node in record.crashed}
         while net.round_number < self.horizon:
             net.step_round()
-            self.transitions += 1
+            self.forwarded += 1
         adversary.plan = {}
-        self._check_terminal(record)
 
-    def _check_terminal(self, record: _StateRecord) -> None:
+    def _check_terminal(
+        self, record: _StateRecord
+    ) -> Optional[CounterexampleTrace]:
         """Evaluate the invariants on one horizon state."""
-        self.terminals += 1
         outputs = record.net.honest_outputs()
         violated = first_violation(self.invariants, outputs, self.ctx)
         if violated is None:
-            return
-        trace = CounterexampleTrace(
+            return None
+        return CounterexampleTrace(
             protocol=self.config.protocol,
             n=self.config.n,
             t=self.config.t,
@@ -547,7 +427,6 @@ class _ConfigExplorer:
             bound=self.bound,
             honest_outputs=dict(outputs),
         )
-        self.violations.append(trace)
 
 
 def check_model(
@@ -563,24 +442,27 @@ def check_model(
     max_states: int = 500_000,
     stop_on_violation: bool = True,
     shrink: bool = True,
-) -> VerificationResult:
+) -> CheckResult:
     """Exhaustively check a protocol up to a corruption-event bound.
 
     Explores every config (general value x faulty coalition), every
-    schedule of at most ``bound`` corruption events from ``alphabet``.
-    Returns a :class:`VerificationResult`; on violation its
+    schedule of at most ``bound`` corruption events from ``alphabet``,
+    admitting at most ``max_states`` states per config.  Returns a
+    :class:`~repro.verify.kernel.CheckResult`; on violation its
     ``counterexample`` is a :class:`~repro.verify.traces.CounterexampleTrace`
     that has been (1) replayed through the unmodified simulator and
     confirmed to reproduce the same honest outputs and the same
     invariant violation, and (2) greedily shrunk to a 1-minimal event
     set (when ``shrink``).
 
-    Raises ``RuntimeError`` if a checker-found violation fails to
-    reproduce on replay — that would mean explorer and simulator
-    semantics diverged, which is a bug, never a finding.
+    Raises ``ValueError`` on parameters that would make the verdict
+    vacuous (no general values, no coalitions, ``max_states < 1``), and
+    ``RuntimeError`` if a checker-found violation fails to reproduce on
+    replay — that would mean explorer and simulator semantics diverged,
+    which is a bug, never a finding.
     """
-    if protocol not in _BUILDERS:
-        known = ", ".join(sorted(_BUILDERS))
+    if protocol not in _NODE_TYPES:
+        known = ", ".join(sorted(_NODE_TYPES))
         raise ValueError(f"unknown protocol {protocol!r}; known: {known}")
     if n < 2:
         raise ValueError(f"need at least two players, got n={n}")
@@ -588,69 +470,66 @@ def check_model(
         raise ValueError(f"need 0 <= t < n, got n={n}, t={t}")
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, got {max_states}")
+    configs = [
+        ModelConfig(protocol, n, t, int(general_value), faulty)
+        for general_value in general_values
+        for faulty in coalition_family(n, t, coalitions)
+    ]
+    if not configs:
+        raise ValueError(
+            "nothing to check: need at least one general value and one "
+            "coalition"
+        )
     alphabet = alphabet if alphabet is not None else CorruptionAlphabet()
     started = time.perf_counter()
-    result = VerificationResult(
+    result = CheckResult(
         ok=True,
         protocol=protocol,
-        n=n,
-        t=t,
-        bound=bound,
+        params={"n": n, "t": t, "bound": bound},
         invariants=tuple(inv.name for inv in invariants),
     )
-    configs: List[Dict[str, Any]] = []
-    for general_value in general_values:
-        for faulty in coalition_family(n, t, coalitions):
-            config = ModelConfig(
-                protocol=protocol,
-                n=n,
-                t=t,
-                general_value=int(general_value),
-                faulty=faulty,
-            )
-            explorer = _ConfigExplorer(
-                config,
-                bound,
-                invariants,
-                alphabet,
-                max_states,
-                stop_on_violation,
-            )
-            explorer.run()
-            result.states_explored += explorer.states
-            result.transitions += explorer.transitions
-            result.terminal_states += explorer.terminals
-            result.truncated = result.truncated or explorer.truncated
-            configs.append(
-                {
-                    "general_value": config.general_value,
-                    "faulty": sorted(config.faulty),
-                    "states": explorer.states,
-                    "violations": len(explorer.violations),
-                }
-            )
-            if explorer.violations and result.counterexample is None:
-                trace = explorer.violations[0]
-                replayed = trace.replay(record_trace=False)
-                if dict(replayed.outputs) != dict(trace.honest_outputs):
-                    raise RuntimeError(
-                        "counterexample replay diverged from exploration: "
-                        f"{dict(replayed.outputs)} != "
-                        f"{dict(trace.honest_outputs)} for\n{trace.describe()}"
-                    )
-                if not trace.replay_violates(replayed):
-                    raise RuntimeError(
-                        "counterexample replay no longer violates "
-                        f"{trace.invariant!r}:\n{trace.describe()}"
-                    )
-                if shrink:
-                    trace = shrink_trace(trace)
-                result.counterexample = trace
-                result.ok = False
-                if stop_on_violation:
-                    break
-        if stop_on_violation and result.counterexample is not None:
-            break
-    result.configs = tuple(configs)
+    stats: List[Dict[str, Any]] = []
+    for config in configs:
+        model = _ConfigModel(config, bound, invariants, alphabet)
+        found = search(
+            model.root(),
+            model.expand,
+            model.settle,
+            max_states=max_states,
+            stop_on_violation=stop_on_violation,
+        )
+        result.states_explored += found.states_explored
+        result.transitions += found.transitions + model.forwarded
+        result.terminal_states += found.terminal_states
+        result.truncated = result.truncated or found.truncated
+        stats.append(
+            {
+                "general_value": config.general_value,
+                "faulty": sorted(config.faulty),
+                "states": found.states_explored,
+                "violations": len(found.violations),
+            }
+        )
+        if found.violations and result.counterexample is None:
+            trace = found.violations[0]
+            replayed = trace.replay(record_trace=False)
+            if dict(replayed.outputs) != dict(trace.honest_outputs):
+                raise RuntimeError(
+                    "counterexample replay diverged from exploration: "
+                    f"{dict(replayed.outputs)} != "
+                    f"{dict(trace.honest_outputs)} for\n{trace.describe()}"
+                )
+            if not trace.replay_violates(replayed):
+                raise RuntimeError(
+                    "counterexample replay no longer violates "
+                    f"{trace.invariant!r}:\n{trace.describe()}"
+                )
+            result.counterexample = shrink_trace(trace) if shrink else trace
+            result.ok = False
+            if stop_on_violation:
+                break
+    result.configs = tuple(stats)
     result.elapsed_s = time.perf_counter() - started
     return result

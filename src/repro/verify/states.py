@@ -4,10 +4,8 @@ The bounded model checker (:mod:`repro.verify.explorer`) identifies a
 simulator state by the sha256 digest of a *canonical* byte encoding of
 ``(round, node states, pending inboxes, crash record)``.  Two execution
 prefixes that land in the same state are explored once — the hash-consing
-that makes exhaustive exploration of small models tractable.  Digests
-live in sorted NumPy ``S32`` arrays (:class:`DigestStore`), so frontier
-deduplication is a batched ``searchsorted``/``lexsort`` pass per round
-rather than a per-state Python set probe.
+that makes exhaustive exploration of small models tractable.  The digest
+is the successor's dedup key in :func:`repro.verify.kernel.search`.
 
 The nondeterminism being explored is the adversary's: each round, each
 live faulty node picks one :class:`CorruptionAction` from a finite
@@ -15,8 +13,8 @@ live faulty node picks one :class:`CorruptionAction` from a finite
 
 * ``honest`` — forward the protocol-prescribed outbox unchanged (free);
 * ``flip(targets)`` — the two-faced attack: flip every decision bit in
-  messages to ``targets`` (exactly the transformation of
-  :func:`repro.dist.agreement.two_faced_script`, one round at a time);
+  messages to ``targets`` (:func:`repro.dist.agreement.two_faced`, the
+  round :func:`~repro.dist.agreement.two_faced_script` repeats);
 * ``silence`` — drop the whole outbox this round (omission fault);
 * ``crash(reach)`` — fail-stop mid-broadcast: recipients ``< reach``
   still hear this round, then the node is dead forever (matching
@@ -33,11 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.dist.agreement import two_faced
 from repro.dist.simulator import Message, Network
 
 __all__ = [
@@ -48,10 +45,8 @@ __all__ = [
     "SILENCE",
     "CorruptionAction",
     "CorruptionAlphabet",
-    "DigestStore",
     "apply_action",
     "canonical_bytes",
-    "flip_payload",
     "inboxes_bytes",
     "message_bytes",
     "network_digest",
@@ -124,28 +119,6 @@ HONEST_ACTION = CorruptionAction(HONEST)
 DEAD_ACTION = CorruptionAction(DEAD)
 
 
-def flip_payload(value: Any) -> Any:
-    """Flip every decision bit in a payload, recursing into structure.
-
-    Identical semantics to the flip inside
-    :func:`repro.dist.agreement.two_faced_script`: ints in ``{0, 1}``
-    flip, bools and everything else pass through, containers recurse.
-    Shared by the explorer and trace replay so both corrupt
-    byte-identically.
-    """
-    if isinstance(value, dict):
-        return {key: flip_payload(item) for key, item in value.items()}
-    if isinstance(value, tuple):
-        return tuple(flip_payload(item) for item in value)
-    if isinstance(value, list):
-        return [flip_payload(item) for item in value]
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int) and value in (0, 1):
-        return 1 - value
-    return value
-
-
 def apply_action(
     action: CorruptionAction, outbox: Sequence[Message]
 ) -> List[Message]:
@@ -159,13 +132,7 @@ def apply_action(
     if action.kind in (HONEST,):
         return list(outbox)
     if action.kind == FLIP:
-        targets = frozenset(action.targets)
-        return [
-            replace(message, payload=flip_payload(message.payload))
-            if message.recipient in targets
-            else message
-            for message in outbox
-        ]
+        return two_faced(outbox, action.targets)
     if action.kind in (SILENCE, DEAD):
         return []
     if action.kind == CRASH:
@@ -403,71 +370,3 @@ def network_digest(net: Network, crashed: Mapping[int, int]) -> bytes:
         inboxes_bytes(net.pending_inboxes()),
         crashed,
     )
-
-
-class DigestStore:
-    """Visited-state store: sorted sha256 digests in NumPy arrays.
-
-    Alongside each digest the store keeps the best (highest) remaining
-    corruption budget at which that state was reached.  A revisit with
-    an equal-or-lower budget is *dominated* — the earlier visit could do
-    everything this one can — so only strictly-budget-improving revisits
-    re-enter the frontier.  Admission is a single vectorized pass:
-    in-batch dedup by ``lexsort``, store lookup by ``searchsorted``.
-    """
-
-    def __init__(self) -> None:
-        self._digests = np.empty(0, dtype="S32")
-        self._budgets = np.empty(0, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._digests.size)
-
-    def admit(
-        self, digests: Sequence[bytes], budgets: Sequence[int]
-    ) -> np.ndarray:
-        """Filter a batch of candidate states against everything seen.
-
-        Returns the indices (into the batch) of candidates that survive:
-        one representative per distinct digest (the max-budget one), and
-        only if no dominating visit is already stored.  Surviving
-        candidates are recorded as visited.
-        """
-        if len(digests) == 0:
-            return np.empty(0, dtype=np.intp)
-        cand = np.array(list(digests), dtype="S32")
-        bud = np.asarray(list(budgets), dtype=np.int64)
-        # In-batch dedup: per digest keep the max-budget representative.
-        order = np.lexsort((-bud, cand))
-        sorted_digests = cand[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = sorted_digests[1:] != sorted_digests[:-1]
-        reps = order[first]  # batch indices, digest-sorted
-        rep_digests = cand[reps]
-        rep_budgets = bud[reps]
-        # Against the store: dominated iff present with budget >= ours.
-        pos = np.searchsorted(self._digests, rep_digests)
-        present = np.zeros(reps.size, dtype=bool)
-        in_range = pos < self._digests.size
-        present[in_range] = self._digests[pos[in_range]] == rep_digests[in_range]
-        dominated = present.copy()
-        dominated[present] = (
-            self._budgets[pos[present]] >= rep_budgets[present]
-        )
-        keep = ~dominated
-        # Budget-improving revisits update in place; new digests merge in.
-        improved = present & keep
-        if improved.any():
-            self._budgets[pos[improved]] = rep_budgets[improved]
-        fresh = keep & ~present
-        if fresh.any():
-            merged_digests = np.concatenate(
-                [self._digests, rep_digests[fresh]]
-            )
-            merged_budgets = np.concatenate(
-                [self._budgets, rep_budgets[fresh]]
-            )
-            resort = np.argsort(merged_digests, kind="stable")
-            self._digests = merged_digests[resort]
-            self._budgets = merged_budgets[resort]
-        return reps[keep]

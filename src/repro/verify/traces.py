@@ -12,24 +12,19 @@ violation through the same ``run_*_agreement`` entry points every test
 and benchmark uses, byte-for-byte.
 
 Traces serialize to plain JSON (:meth:`to_json_obj` / ``save`` /
-``load``) and shrink by greedy deletion (:func:`shrink_trace`): drop one
-corruption event at a time, keep the deletion whenever the replayed
-execution still violates the same invariant, repeat to a fixed point.
-The result is 1-minimal — removing any single remaining event makes the
-violation disappear.
+``load``) and shrink by greedy deletion (:func:`shrink_trace`, on
+:func:`repro.verify.kernel.shrink`): drop one corruption event at a
+time, keep the deletion whenever the replayed execution still violates
+the same invariant, repeat to a fixed point.  The result is 1-minimal —
+removing any single remaining event makes the violation disappear.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.dist.agreement import (
-    AgreementOutcome,
-    run_eig_agreement,
-    run_phase_king_agreement,
-)
+from repro.dist.agreement import PROTOCOL_RUNNERS, AgreementOutcome
 from repro.dist.faults import CrashAdversary, CrashSchedule, ScriptedAdversary
 from repro.dist.simulator import Adversary
 from repro.verify.invariants import (
@@ -37,6 +32,7 @@ from repro.verify.invariants import (
     first_violation,
     get_invariant,
 )
+from repro.verify.kernel import TraceFile, shrink
 from repro.verify.states import (
     CRASH,
     CorruptionAction,
@@ -46,14 +42,8 @@ from repro.verify.states import (
 __all__ = [
     "CorruptionEvent",
     "CounterexampleTrace",
-    "PROTOCOL_RUNNERS",
     "shrink_trace",
 ]
-
-PROTOCOL_RUNNERS = {
-    "eig": run_eig_agreement,
-    "phase_king": run_phase_king_agreement,
-}
 
 
 @dataclass(frozen=True)
@@ -121,13 +111,10 @@ class _EventScript:
 
 
 @dataclass(frozen=True)
-class CounterexampleTrace:
+class CounterexampleTrace(TraceFile):
     """A minimal, replayable witness of an invariant violation.
 
-    ``events`` is the adversary's full play, in round order; ``seed``
-    rides along for forward compatibility with randomized alphabet
-    extensions (the current alphabet is fully deterministic, so replay
-    never consumes it).
+    ``events`` is the adversary's full play, in round order.
     """
 
     protocol: str
@@ -138,13 +125,17 @@ class CounterexampleTrace:
     invariant: str
     events: Tuple[CorruptionEvent, ...]
     bound: int = 0
-    seed: int = 0
     honest_outputs: Mapping[int, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         crashes = [e.node for e in self.events if e.action.kind == CRASH]
         if len(crashes) != len(set(crashes)):
             raise ValueError("a node cannot crash twice in one trace")
+
+    @property
+    def steps(self) -> Tuple[CorruptionEvent, ...]:
+        """The trace's steps: its corruption events."""
+        return self.events
 
     # -- compilation to simulator adversaries --------------------------
 
@@ -188,9 +179,9 @@ class CounterexampleTrace:
         """Re-execute the attack through the unmodified simulator.
 
         Runs the protocol's standard entry point
-        (:data:`PROTOCOL_RUNNERS`) with the compiled adversary; the
-        returned outcome's honest outputs reproduce the checker's
-        explored execution byte-for-byte.
+        (:data:`repro.dist.agreement.PROTOCOL_RUNNERS`) with the compiled
+        adversary; the returned outcome's honest outputs reproduce the
+        checker's explored execution byte-for-byte.
         """
         try:
             runner = PROTOCOL_RUNNERS[self.protocol]
@@ -249,7 +240,6 @@ class CounterexampleTrace:
             "faulty": list(self.faulty),
             "invariant": self.invariant,
             "bound": self.bound,
-            "seed": self.seed,
             "events": [event.to_json_obj() for event in self.events],
             "honest_outputs": {
                 str(node): value
@@ -259,7 +249,11 @@ class CounterexampleTrace:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "CounterexampleTrace":
-        """Rebuild a trace from its :meth:`to_json_obj` form."""
+        """Rebuild a trace from its :meth:`to_json_obj` form.
+
+        Keys it does not know (such as the ``seed`` older traces
+        carried) are ignored.
+        """
         return cls(
             protocol=str(obj["protocol"]),
             n=int(obj["n"]),
@@ -268,7 +262,6 @@ class CounterexampleTrace:
             faulty=tuple(int(x) for x in obj["faulty"]),
             invariant=str(obj["invariant"]),
             bound=int(obj.get("bound", 0)),
-            seed=int(obj.get("seed", 0)),
             events=tuple(
                 CorruptionEvent.from_json_obj(e) for e in obj["events"]
             ),
@@ -278,43 +271,22 @@ class CounterexampleTrace:
             },
         )
 
-    def save(self, path: str) -> None:
-        """Write the trace as pretty-printed JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_obj(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "CounterexampleTrace":
-        """Read a trace saved by :meth:`save`."""
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_json_obj(json.load(handle))
-
 
 def shrink_trace(trace: CounterexampleTrace) -> CounterexampleTrace:
-    """Greedy deletion: 1-minimize a trace's corruption events.
+    """1-minimize a trace's corruption events by greedy deletion.
 
-    Repeatedly tries dropping each event; a deletion sticks whenever the
-    replayed execution still violates the same invariant.  Loops to a
-    fixed point, so the result is 1-minimal.  Each surviving candidate's
-    honest outputs are re-recorded from its own replay.
+    A deletion sticks whenever the replayed execution still violates
+    the same invariant (:func:`repro.verify.kernel.shrink`).  The
+    shrunk trace's honest outputs are re-recorded from its own replay.
     """
-    events: List[CorruptionEvent] = list(trace.events)
-    current = trace
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(events)):
-            candidate_events = tuple(
-                events[:index] + events[index + 1 :]
-            )
-            candidate = replace(current, events=candidate_events)
-            outcome = candidate.replay(record_trace=False)
-            if candidate.replay_violates(outcome):
-                current = replace(
-                    candidate, honest_outputs=dict(outcome.outputs)
-                )
-                events = list(candidate_events)
-                changed = True
-                break
-    return current
+    events = tuple(
+        shrink(
+            trace.events,
+            lambda kept: replace(trace, events=tuple(kept)).replay_violates(),
+        )
+    )
+    if events == trace.events:
+        return trace
+    shrunk = replace(trace, events=events)
+    outcome = shrunk.replay(record_trace=False)
+    return replace(shrunk, honest_outputs=dict(outcome.outputs))

@@ -8,6 +8,7 @@ substrate, and the simulator's fork/step hooks.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.dist.agreement import (
     EIGNode,
+    flip_payload,
     run_eig_agreement,
     search_for_disagreement,
 )
@@ -24,11 +26,11 @@ from repro.verify import (
     CorruptionAction,
     CorruptionAlphabet,
     CounterexampleTrace,
-    DigestStore,
     check_model,
 )
 from repro.verify.__main__ import main as verify_main
 from repro.verify.explorer import coalition_family, model_horizon
+from repro.verify.kernel import Successor, search, shrink
 from repro.verify.invariants import (
     BYZANTINE_AGREEMENT,
     InvariantContext,
@@ -40,7 +42,6 @@ from repro.verify.states import (
     FLIP,
     SILENCE,
     canonical_bytes,
-    flip_payload,
     network_digest,
 )
 from repro.verify.traces import CorruptionEvent, shrink_trace
@@ -65,6 +66,17 @@ class TestCheckerVerdicts:
         # Minimal: (3,1) falls to a single corruption event.
         assert len(trace.events) == 1
         assert trace.replay_violates()
+        # The explored-state fingerprint; a symmetry reduction would
+        # change these on purpose.
+        assert (
+            result.states_explored,
+            result.transitions,
+            result.terminal_states,
+        ) == (161, 266, 123)
+        assert trace.invariant == "validity"
+        assert [e.describe() for e in trace.events] == [
+            "r0 node2 crash(reach=0)"
+        ]
 
     def test_certifies_eig_n4_t1_all_coalitions(self):
         """n > 3t: EIG at (4,1) survives every coalition exhaustively."""
@@ -74,6 +86,11 @@ class TestCheckerVerdicts:
         assert not result.truncated
         assert result.states_explored > 100
         assert result.terminal_states > 0
+        assert (
+            result.states_explored,
+            result.transitions,
+            result.terminal_states,
+        ) == (2472, 2968, 1720)
 
     def test_certifies_phase_king_n4_t1_family(self):
         """Phase king at (4,1) survives the search_for_disagreement
@@ -81,6 +98,11 @@ class TestCheckerVerdicts:
         result = check_model("phase_king", 4, 1, bound=3)
         assert result.ok
         assert not result.truncated
+        assert (
+            result.states_explored,
+            result.transitions,
+            result.terminal_states,
+        ) == (2844, 12084, 2003)
 
     def test_phase_king_n4_t1_breaks_under_all_coalitions(self):
         """The discovery: at n = 4t a faulty *final-phase king* breaks
@@ -93,6 +115,15 @@ class TestCheckerVerdicts:
         assert trace.invariant == "agreement"
         assert len(trace.events) == 2
         assert trace.replay_violates()
+        assert (
+            result.states_explored,
+            result.transitions,
+            result.terminal_states,
+        ) == (367, 1638, 282)
+        assert [e.describe() for e in trace.events] == [
+            "r3 node1 flip->[3]",
+            "r4 node1 flip->[0, 3]",
+        ]
 
     def test_bound_zero_is_honest_run(self):
         """With no corruption budget the only execution is the honest one."""
@@ -116,6 +147,7 @@ class TestCheckerVerdicts:
         result = check_model("eig", 4, 1, bound=2, max_states=10)
         assert result.truncated
         assert "truncated" in result.summary()
+        assert all(config["states"] <= 10 for config in result.configs)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="unknown protocol"):
@@ -128,6 +160,13 @@ class TestCheckerVerdicts:
             check_model("eig", 3, 1, bound=-1)
         with pytest.raises(ValueError, match="unknown protocol"):
             model_horizon("paxos", 1)
+        # Parameters that would make a PASS vacuous are usage errors.
+        with pytest.raises(ValueError, match="nothing to check"):
+            check_model("eig", 3, 1, bound=2, general_values=())
+        with pytest.raises(ValueError, match="nothing to check"):
+            check_model("eig", 3, 1, bound=2, coalitions=[])
+        with pytest.raises(ValueError, match="max_states"):
+            check_model("eig", 3, 1, bound=2, max_states=0)
 
     def test_coalition_family_shapes(self):
         assert coalition_family(4, 0) == [frozenset()]
@@ -216,6 +255,18 @@ class TestCounterexampleTrace:
                 events=trace.events[:index] + trace.events[index + 1:],
             )
             assert not thinner.replay_violates()
+
+    def test_trace_saved_with_a_seed_still_loads_and_replays(self, tmp_path):
+        """Traces written while the format carried a ``seed`` still load."""
+        obj = _crash_trace().to_json_obj()
+        assert "seed" not in obj
+        obj["seed"] = 0
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(obj))
+        loaded = CounterexampleTrace.load(str(path))
+        assert loaded == _crash_trace()
+        assert loaded.replay_violates()
+        assert verify_main(["--replay", str(path), "--quiet"]) == 0
 
     def test_unknown_protocol_replay_rejected(self):
         trace = _crash_trace(protocol="paxos")
@@ -354,7 +405,7 @@ class TestCorruptionAlphabet:
 
 
 # ----------------------------------------------------------------------
-# Hash-consing: canonical encoding + the digest store
+# Hash-consing: canonical encoding
 # ----------------------------------------------------------------------
 
 
@@ -388,31 +439,127 @@ class TestCanonicalBytes:
             canonical_bytes(object())
 
 
-class TestDigestStore:
+class _Graph:
+    """A toy kernel model: states are node names, edges carry budgets.
+
+    ``edges`` maps a node to its ``(child, budget)`` list; a node in
+    ``bad`` violates when settled, a node in ``poison`` when generated.
+    ``built`` records ``(name, budget, edge index)`` in build order.
+    """
+
+    def __init__(self, edges, bad=(), poison=()):
+        self.edges = edges
+        self.bad = set(bad)
+        self.poison = set(poison)
+        self.built = []
+
+    def _successor(self, name, budget, path, index):
+        def build():
+            self.built.append((name, budget, index))
+            return name, path
+
+        violation = path if name in self.poison else None
+        return Successor(name.encode(), budget, violation, build)
+
+    def expand(self, state):
+        name, path = state
+        return [
+            self._successor(child, budget, path + (child,), index)
+            for index, (child, budget) in enumerate(self.edges.get(name, ()))
+        ]
+
+    def settle(self, state):
+        name, path = state
+        return (path if name in self.bad else None), bool(self.edges.get(name))
+
+    def run(self, max_states=100, stop_on_violation=True):
+        return search(
+            self._successor("r", 0, ("r",), 0),
+            self.expand,
+            self.settle,
+            max_states=max_states,
+            stop_on_violation=stop_on_violation,
+        )
+
+
+class TestKernel:
     def test_batch_dedup_keeps_max_budget(self):
-        store = DigestStore()
-        d = b"\x01" * 32
-        keep = store.admit([d, d, d], [1, 3, 2])
-        assert list(keep) == [1]  # the budget-3 representative
-        assert len(store) == 1
+        graph = _Graph({"r": [("d", 1), ("d", 3), ("d", 2)]})
+        found = graph.run()
+        assert graph.built[1:] == [("d", 3, 1)]  # the budget-3 representative
+        assert found.states_explored - 1 == 1
 
     def test_dominated_revisit_rejected_improving_admitted(self):
-        store = DigestStore()
-        d = b"\x02" * 32
-        assert list(store.admit([d], [2])) == [0]
-        assert list(store.admit([d], [2])) == []  # equal budget: dominated
-        assert list(store.admit([d], [1])) == []  # lower: dominated
-        assert list(store.admit([d], [3])) == [0]  # strictly higher: back in
+        graph = _Graph(
+            {
+                "r": [("d", 2), ("x", 0)],
+                "x": [("d", 2), ("y", 0)],  # equal budget: dominated
+                "y": [("d", 1), ("z", 0)],  # lower: dominated
+                "z": [("d", 3)],  # strictly higher: back in
+            }
+        )
+        graph.run()
+        assert [b for name, b, _ in graph.built if name == "d"] == [2, 3]
 
     def test_empty_batch(self):
-        store = DigestStore()
-        assert store.admit([], []).size == 0
+        found = _Graph({}).run()
+        assert (found.states_explored, found.transitions) == (1, 0)
+        assert found.terminal_states == 1 and not found.violations
 
     def test_distinct_digests_all_admitted(self):
-        store = DigestStore()
-        batch = [bytes([i]) * 32 for i in range(5)]
-        assert sorted(store.admit(batch, [0] * 5)) == [0, 1, 2, 3, 4]
-        assert len(store) == 5
+        graph = _Graph({"r": [(name, 0) for name in "edcba"]})
+        found = graph.run()
+        assert [name for name, _, _ in graph.built[1:]] == list("abcde")
+        assert found.states_explored - 1 == 5
+
+    def test_tie_keeps_the_earliest(self):
+        graph = _Graph({"r": [("d", 2), ("d", 2), ("d", 1)]})
+        graph.run()
+        assert graph.built[1:] == [("d", 2, 0)]
+
+    def test_shortest_violation_is_reported_first(self):
+        edges = {
+            "r": [("a", 0), ("b", 0)],
+            "a": [("c", 0)],
+            "c": [("bad3", 0)],
+            "b": [("bad2", 0)],
+        }
+        bad = {"bad2", "bad3"}
+        found = _Graph(edges, bad=bad).run()
+        assert found.violations == [("r", "b", "bad2")]
+        every = _Graph(edges, bad=bad).run(stop_on_violation=False)
+        assert every.violations == [
+            ("r", "b", "bad2"),
+            ("r", "a", "c", "bad3"),
+        ]
+
+    def test_violation_found_while_generating(self):
+        edges = {"r": [("a", 0), ("p", 0)], "a": [("q", 0)]}
+        graph = _Graph(edges, poison={"p"})
+        found = graph.run()
+        assert found.violations == [("r", "p")]
+        assert found.transitions == 2 and found.states_explored == 1
+
+    def test_state_cap_truncates(self):
+        edges = {"r": [(f"a{i}", 0) for i in range(5)]}
+        for i in range(5):
+            edges[f"a{i}"] = [(f"b{i}{j}", 0) for j in range(5)]
+        found = _Graph(edges).run(max_states=4)
+        assert found.truncated
+        assert found.states_explored <= 4
+        assert not _Graph(edges).run(max_states=31).truncated
+        with pytest.raises(ValueError, match="max_states"):
+            _Graph(edges).run(max_states=0)
+
+    def test_shrink_is_one_minimal(self):
+        def still_fails(kept):
+            return sum(kept) >= 10
+
+        kept = shrink([5, 5, 5, 1], still_fails)
+        assert kept == [5, 5]
+        for index in range(len(kept)):
+            assert not still_fails(kept[:index] + kept[index + 1:])
+        assert shrink(range(10), lambda k: {2, 7} <= set(k)) == [2, 7]
 
 
 # ----------------------------------------------------------------------
@@ -518,6 +665,18 @@ class TestCLI:
         assert code in (0, 1)
         assert report.exists()
 
+    def test_state_cap_without_violation_exits_3(self, capsys):
+        """A capped search that found nothing is not an exhaustive PASS."""
+        code = verify_main(
+            [
+                "--protocol", "replica", "--replicas", "3", "--crashes", "1",
+                "--depth", "7", "--max-states", "5", "--quiet",
+            ]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert out.startswith("PASS") and "truncated" in out
+
     def test_bad_protocol_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             verify_main(["--protocol", "paxos"])
@@ -530,6 +689,10 @@ class TestCLI:
             ["--n", "3", "--t", "1", "--bound", "-2"],
             ["--n", "3", "--t", "1", "--bound", "1", "--coalitions", "bogus"],
             ["--replay", str(tmp_path / "missing.json")],
+            ["--n", "3", "--t", "1", "--bound", "1", "--max-states", "0"],
+            ["--protocol", "replica", "--replicas", "3", "--depth", "-2"],
+            ["--protocol", "replica", "--crashes", "-1"],
+            ["--protocol", "replica", "--appends", "-1"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 verify_main(argv)

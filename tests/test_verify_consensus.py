@@ -86,6 +86,9 @@ def test_real_core_passes_exhaustively_with_a_crash_budget():
     assert not result.truncated
     assert result.states_explored > 1000  # crash/restart space is real
     assert result.invariants == (ELECTION_SAFETY, COMMIT_SAFETY)
+    # The explored-state fingerprint; a symmetry reduction would change
+    # it on purpose.
+    assert (result.states_explored, result.transitions) == (6346, 13461)
 
 
 def test_single_replica_elects_itself_and_stays_safe():
@@ -220,6 +223,7 @@ def test_crash_amnesia_does_not_double_vote():
     result = check_consensus(replicas=3, crashes=2, appends=0, depth=7)
     assert result.ok
     assert not result.truncated
+    assert (result.states_explored, result.transitions) == (26874, 64107)
 
 
 def test_state_cap_reports_truncation():
@@ -232,6 +236,11 @@ def test_state_cap_reports_truncation():
 
 
 def test_rejects_bad_configuration():
-    """Zero replicas is a usage error, not a vacuous PASS."""
+    """Bounds that make the search vacuous are usage errors, not a PASS."""
     with pytest.raises(ValueError):
         check_consensus(replicas=0)
+    for bad in ({"depth": -1}, {"crashes": -1}, {"appends": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            check_consensus(replicas=3, **bad)
+    with pytest.raises(ValueError, match="max_states"):
+        check_consensus(replicas=3, max_states=0)
